@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "dsp/oscillator.hpp"
-#include "dsp/serialize.hpp"
 #include "dsp/signal_ops.hpp"
 #include "wave/attenuation.hpp"
 #include "wave/snell.hpp"
@@ -295,36 +294,6 @@ void ConcreteChannel::UplinkStream::push_block(Signal& x) {
   if (has_resonance_scale_) dsp::scale(x, resonance_scale_);
   for (Real& v : x) v += si_.next(si_amplitude_);
   dsp::add_awgn(x, channel_->config().noise_sigma, rng_);
-}
-
-void ConcreteChannel::DownlinkStream::save(dsp::ser::Writer& w) const {
-  w.u64("dls.pos", pos_);
-  w.real_vec("dls.hist", hist_);
-  resonator_.save(w);
-  w.rng("dls.rng", rng_);
-}
-
-void ConcreteChannel::DownlinkStream::load(dsp::ser::Reader& r) {
-  pos_ = r.u64("dls.pos");
-  hist_ = r.real_vec("dls.hist");
-  if (hist_.size() != max_shift_) {
-    throw std::runtime_error(
-        "checkpoint: downlink tap delay line length mismatch");
-  }
-  resonator_.load(r);
-  r.rng("dls.rng", rng_);
-}
-
-void ConcreteChannel::UplinkStream::save(dsp::ser::Writer& w) const {
-  resonator_.save(w);
-  w.real("uls.si_phase", si_.phase());
-  w.rng("uls.rng", rng_);
-}
-
-void ConcreteChannel::UplinkStream::load(dsp::ser::Reader& r) {
-  resonator_.load(r);
-  si_.reset_phase(r.real("uls.si_phase"));
-  r.rng("uls.rng", rng_);
 }
 
 }  // namespace ecocap::channel

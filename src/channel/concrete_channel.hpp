@@ -4,6 +4,7 @@
 #include <memory>
 #include <optional>
 #include <span>
+#include <stdexcept>
 #include <vector>
 
 #include "channel/link_budget.hpp"
@@ -123,8 +124,17 @@ class ConcreteChannel {
     /// Bit-exact carried-state round trip (tap delay line, biquad state,
     /// noise RNG, position); the tap geometry is config, recomputed at
     /// construction.
-    void save(dsp::ser::Writer& w) const;
-    void load(dsp::ser::Reader& r);
+    template <class Self, class Ar>
+    static void fields(Self& self, Ar& a) {
+      a.field("dls.pos", self.pos_);
+      a.field("dls.hist", self.hist_);
+      if (self.hist_.size() != self.max_shift_) {
+        throw std::runtime_error(
+            "checkpoint: downlink tap delay line length mismatch");
+      }
+      a.object(self.resonator_);
+      a.field("dls.rng", self.rng_);
+    }
 
    private:
     const ConcreteChannel* channel_;
@@ -157,8 +167,14 @@ class ConcreteChannel {
 
     /// Bit-exact carried-state round trip (biquad, SI oscillator phase,
     /// noise RNG).
-    void save(dsp::ser::Writer& w) const;
-    void load(dsp::ser::Reader& r);
+    template <class Self, class Ar>
+    static void fields(Self& self, Ar& a) {
+      a.object(self.resonator_);
+      Real si_phase = self.si_.phase();
+      a.field("uls.si_phase", si_phase);
+      if constexpr (Ar::kLoading) self.si_.reset_phase(si_phase);
+      a.field("uls.rng", self.rng_);
+    }
 
    private:
     const ConcreteChannel* channel_;

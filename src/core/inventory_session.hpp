@@ -2,6 +2,7 @@
 
 #include <memory>
 #include <optional>
+#include <stdexcept>
 #include <vector>
 
 #include "channel/link_budget.hpp"
@@ -104,8 +105,23 @@ class InventorySession {
   /// Checkpoint the session's mutable state: engine-seed RNG, pass
   /// counter, every deployed node's firmware, and the supervisor. The
   /// loading session must have the same nodes deployed in the same order.
-  void save(dsp::ser::Writer& w) const;
-  void load(dsp::ser::Reader& r);
+  template <class Self, class Ar>
+  static void fields(Self& self, Ar& a) {
+    a.field("session.rng", self.rng_);
+    a.field("session.pass", self.pass_);
+    std::size_t nodes = self.nodes_.size();
+    a.field("session.nodes", nodes);
+    if (nodes != self.nodes_.size()) {
+      throw std::runtime_error("checkpoint: deployed node count mismatch");
+    }
+    for (auto& s : self.nodes_) a.object(*s.firmware);
+    bool supervised = self.supervisor_.has_value();
+    a.field("session.supervised", supervised);
+    if (supervised != self.supervisor_.has_value()) {
+      throw std::runtime_error("checkpoint: supervisor enablement mismatch");
+    }
+    if (self.supervisor_) a.object(*self.supervisor_);
+  }
 
  private:
   Config config_;

@@ -5,7 +5,6 @@
 #include <stdexcept>
 
 #include "dsp/kernels/kernels.hpp"
-#include "dsp/serialize.hpp"
 
 namespace ecocap::dsp {
 
@@ -121,20 +120,6 @@ Signal OnePoleLowpass::process(std::span<const Real> x) {
 void OnePoleLowpass::process(std::span<const Real> x, Signal& out) {
   out.resize(x.size());
   kernels::active().onepole(x.data(), out.data(), x.size(), alpha_, &state_);
-}
-
-void Biquad::save(ser::Writer& w) const {
-  w.real("bq.x1", x1_);
-  w.real("bq.x2", x2_);
-  w.real("bq.y1", y1_);
-  w.real("bq.y2", y2_);
-}
-
-void Biquad::load(ser::Reader& r) {
-  x1_ = r.real("bq.x1");
-  x2_ = r.real("bq.x2");
-  y1_ = r.real("bq.y1");
-  y2_ = r.real("bq.y2");
 }
 
 }  // namespace ecocap::dsp

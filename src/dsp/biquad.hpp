@@ -4,11 +4,6 @@
 
 #include "dsp/types.hpp"
 
-namespace ecocap::dsp::ser {
-class Writer;
-class Reader;
-}  // namespace ecocap::dsp::ser
-
 namespace ecocap::dsp {
 
 /// Second-order IIR section (direct form I), designed with the RBJ audio-EQ
@@ -44,8 +39,13 @@ class Biquad {
   Real magnitude_at(Real fs, Real f) const;
 
   /// Bit-exact filter-state round trip (coefficients are config, not state).
-  void save(ser::Writer& w) const;
-  void load(ser::Reader& r);
+  template <class Self, class Ar>
+  static void fields(Self& self, Ar& a) {
+    a.field("bq.x1", self.x1_);
+    a.field("bq.x2", self.x2_);
+    a.field("bq.y1", self.y1_);
+    a.field("bq.y2", self.y2_);
+  }
 
  private:
   Real b0_, b1_, b2_, a1_, a2_;

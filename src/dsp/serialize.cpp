@@ -13,15 +13,6 @@
 
 namespace ecocap::dsp::ser {
 
-namespace {
-
-[[noreturn]] void fail(std::string_view key, std::string_view what) {
-  throw std::runtime_error("checkpoint: " + std::string(what) + " at key '" +
-                           std::string(key) + "'");
-}
-
-}  // namespace
-
 std::string format_real(Real v) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%a", static_cast<double>(v));
@@ -85,6 +76,11 @@ void Writer::rng(std::string_view key, const Rng& r) {
   kv(key, os.str());
 }
 
+void Reader::fail(std::string_view key, const std::string& what) {
+  throw std::runtime_error("checkpoint: " + what + " at key '" +
+                           std::string(key) + "'");
+}
+
 Reader::Reader(std::string content, std::string_view expected_header)
     : content_(std::move(content)) {
   const std::string header = next_line("<header>");
@@ -113,6 +109,10 @@ std::string Reader::kv(std::string_view key) {
 
 std::uint64_t Reader::u64(std::string_view key) {
   const std::string v = kv(key);
+  // strtoull would accept (and wrap) a sign or skip leading blanks.
+  if (v.empty() || v[0] < '0' || v[0] > '9') {
+    fail(key, "bad unsigned integer '" + v + "'");
+  }
   char* end = nullptr;
   errno = 0;
   const std::uint64_t x = std::strtoull(v.c_str(), &end, 10);
@@ -167,6 +167,27 @@ void Reader::rng(std::string_view key, Rng& r) {
   std::istringstream is(kv(key));
   r.load(is);
   if (is.fail()) fail(key, "bad rng state");
+}
+
+void Reader::expect(std::string_view lines) {
+  while (!lines.empty()) {
+    const std::size_t nl = lines.find('\n');
+    const std::string_view want = lines.substr(0, nl);
+    lines.remove_prefix(nl == std::string_view::npos ? lines.size() : nl + 1);
+    const std::string_view key = want.substr(0, want.find(' '));
+    const std::string got = next_line(key);
+    if (got != want) {
+      fail(key, "config fingerprint mismatch (got '" + got + "', want '" +
+                    std::string(want) + "')");
+    }
+  }
+}
+
+void Reader::finish() const {
+  if (exhausted()) return;
+  const std::size_t end = content_.find_first_of(" \n", pos_);
+  fail(std::string_view(content_).substr(pos_, end - pos_),
+       "trailing record after the end of the checkpoint");
 }
 
 namespace {
@@ -228,6 +249,33 @@ std::optional<std::string> read_file(const std::string& path) {
   std::fclose(f);
   if (!ok) return std::nullopt;
   return content;
+}
+
+Checkpoint::Checkpoint(std::string header, Fingerprint fingerprint)
+    : header_(std::move(header)), fingerprint_(std::move(fingerprint)) {}
+
+Writer Checkpoint::begin() const {
+  Writer w(header_);
+  fingerprint_(w);
+  return w;
+}
+
+Reader Checkpoint::open(std::string payload) const {
+  Reader r(std::move(payload), header_);
+  r.expect(std::string_view(begin().payload()).substr(header_.size() + 1));
+  return r;
+}
+
+void Checkpoint::write(const std::string& path, std::string_view payload) {
+  if (!atomic_write_file(path, payload)) {
+    throw std::runtime_error("checkpoint: cannot write " + path);
+  }
+}
+
+std::string Checkpoint::read(const std::string& path) {
+  auto content = read_file(path);
+  if (!content) throw std::runtime_error("checkpoint: cannot read " + path);
+  return std::move(*content);
 }
 
 }  // namespace ecocap::dsp::ser

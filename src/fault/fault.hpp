@@ -6,11 +6,6 @@
 #include "dsp/types.hpp"
 #include "phy/bits.hpp"
 
-namespace ecocap::dsp::ser {
-class Writer;
-class Reader;
-}  // namespace ecocap::dsp::ser
-
 namespace ecocap::fault {
 
 using dsp::Real;
@@ -144,13 +139,31 @@ struct FaultPlan {
   /// overlapping scenario fault windows, where the harsher impairment of
   /// each kind wins. max_of(p, empty) == p.
   static FaultPlan max_of(const FaultPlan& a, const FaultPlan& b);
-};
 
-/// Checkpoint round trip of a plan's full field set. A checkpoint that
-/// carries the live plan can rebuild injectors with the exact fault
-/// configuration a mid-run `set_fault_plan` swapped in.
-void save_plan(dsp::ser::Writer& w, const FaultPlan& p);
-FaultPlan load_plan(dsp::ser::Reader& r);
+  /// Checkpoint round trip of the plan's full field set. A checkpoint that
+  /// carries the live plan can rebuild injectors with the exact fault
+  /// configuration a mid-run `set_fault_plan` swapped in.
+  template <class Self, class Ar>
+  static void fields(Self& self, Ar& a) {
+    a.field("fp.burst_prob", self.channel.burst_prob);
+    a.field("fp.burst_sigma", self.channel.burst_sigma);
+    a.field("fp.burst_fraction", self.channel.burst_fraction);
+    a.field("fp.dropout_prob", self.channel.dropout_prob);
+    a.field("fp.dropout_fraction", self.channel.dropout_fraction);
+    a.field("fp.clock_drift_ppm", self.channel.clock_drift_ppm);
+    a.field("fp.spike_rate_hz", self.channel.spike_rate_hz);
+    a.field("fp.spike_amplitude", self.channel.spike_amplitude);
+    a.field("fp.brownout_prob", self.node.brownout_prob);
+    a.field("fp.cap_leak_amps", self.node.cap_leak_amps);
+    a.field("fp.bit_flip_prob", self.node.bit_flip_prob);
+    a.field("fp.adc_clip_level", self.reader.adc_clip_level);
+    a.field("fp.crash_prob", self.runtime.crash_prob);
+    a.field("fp.stall_prob", self.runtime.stall_prob);
+    a.field("fp.stall_polls_min", self.runtime.stall_polls_min);
+    a.field("fp.stall_polls_max", self.runtime.stall_polls_max);
+    a.field("fp.throttle_prob", self.runtime.throttle_prob);
+  }
+};
 
 /// Per-trial fault source. Cheap to construct; all hooks are no-ops (zero
 /// draws) when the plan is empty.
@@ -235,8 +248,23 @@ class Injector {
   /// Bit-exact round trip of the injector's *state* (RNG stream position,
   /// lazily drawn drift factor, realized-fault counters). The plan is
   /// config and must be re-established by the owner before load.
-  void save(dsp::ser::Writer& w) const;
-  void load(dsp::ser::Reader& r);
+  template <class Self, class Ar>
+  static void fields(Self& self, Ar& a) {
+    a.field("inj.rng", self.rng_);
+    a.field("inj.drift", self.drift_factor_);
+    auto& c = self.counters_;
+    a.field("inj.bursts", c.bursts);
+    a.field("inj.dropouts", c.dropouts);
+    a.field("inj.spikes", c.spikes);
+    a.field("inj.brownouts", c.brownouts);
+    a.field("inj.bit_flips", c.bit_flips);
+    a.field("inj.clipped", c.clipped_samples);
+    a.field("inj.replies_lost", c.replies_lost);
+    a.field("inj.replies_corrupted", c.replies_corrupted);
+    a.field("inj.crashes", c.crashes_injected);
+    a.field("inj.stalls", c.stalls_injected);
+    a.field("inj.throttles", c.throttles_injected);
+  }
 
  private:
   FaultPlan plan_;

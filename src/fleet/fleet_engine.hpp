@@ -78,9 +78,9 @@ struct FleetResult {
 /// Workers claim shards from the pool; each shard runs its structures
 /// sequentially, reusing its worker's dsp::Workspace arena (constant
 /// memory per shard: one campaign's transient state at a time, summaries
-/// elsewhere), and checkpoints `<dir>/fleet_shard_<k>.ckpt` via the
-/// bit-exact serializer + atomic_write_file after every
-/// `checkpoint_every` completed structures. Checkpoint granularity is a
+/// elsewhere), and checkpoints `<dir>/fleet_shard_<k>.ckpt` through the
+/// dsp::ser::Checkpoint envelope after every `checkpoint_every` completed
+/// structures. Checkpoint granularity is a
 /// whole structure: resume() skips the completed prefix of each shard and
 /// re-runs the rest from their campaign start, which reproduces the
 /// uninterrupted fingerprint exactly because structures are independently
@@ -143,8 +143,6 @@ class FleetEngine {
   FleetResult run_impl(bool from_checkpoint);
   StructureSummary run_structure(std::size_t s) const;
   std::string shard_path(std::size_t shard) const;
-  void fingerprint_config(dsp::ser::Writer& w) const;
-  void check_fingerprint(dsp::ser::Reader& r) const;
 
   Config config_;
   core::ThreadPool* pool_;

@@ -1,6 +1,5 @@
 #include "node/firmware.hpp"
 
-#include <stdexcept>
 #include <utility>
 
 namespace ecocap::node {
@@ -150,36 +149,6 @@ UplinkFrame Firmware::make_frame(const phy::Response& resp) const {
   f.bitrate = config_.uplink.bitrate;
   f.blf = config_.blf;
   return f;
-}
-
-void Firmware::save(dsp::ser::Writer& w) const {
-  w.u64("fw.node_id", config_.node_id);
-  w.rng("fw.rng", rng_);
-  w.i64("fw.state", static_cast<std::int64_t>(state_));
-  w.u64("fw.rn16", rn16_);
-  w.i64("fw.slot", slot_);
-  w.u64("fw.selected", selected_ ? 1 : 0);
-  w.real("fw.blf", config_.blf);
-  w.real("fw.bitrate", config_.uplink.bitrate);
-}
-
-void Firmware::load(dsp::ser::Reader& r) {
-  const std::uint64_t id = r.u64("fw.node_id");
-  if (id != config_.node_id) {
-    throw std::runtime_error("checkpoint: firmware node id mismatch");
-  }
-  r.rng("fw.rng", rng_);
-  const std::int64_t state = r.i64("fw.state");
-  if (state < static_cast<std::int64_t>(McuState::kOff) ||
-      state > static_cast<std::int64_t>(McuState::kAcked)) {
-    throw std::runtime_error("checkpoint: bad MCU state");
-  }
-  state_ = static_cast<McuState>(state);
-  rn16_ = static_cast<std::uint16_t>(r.u64("fw.rn16"));
-  slot_ = static_cast<int>(r.i64("fw.slot"));
-  selected_ = r.u64("fw.selected") != 0;
-  config_.blf = r.real("fw.blf");
-  config_.uplink.bitrate = r.real("fw.bitrate");
 }
 
 }  // namespace ecocap::node

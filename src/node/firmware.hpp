@@ -1,10 +1,10 @@
 #pragma once
 
 #include <optional>
+#include <stdexcept>
 #include <vector>
 
 #include "dsp/rng.hpp"
-#include "dsp/serialize.hpp"
 #include "node/sensors.hpp"
 #include "phy/fm0.hpp"
 #include "phy/pie.hpp"
@@ -77,8 +77,21 @@ class Firmware {
   /// Checkpoint the mutable MCU state: RNG stream, protocol state machine,
   /// RN16, slot counter, Select flag, and the SetBlf-adjusted link settings.
   /// Sensors are stateless models and are not serialized.
-  void save(dsp::ser::Writer& w) const;
-  void load(dsp::ser::Reader& r);
+  template <class Self, class Ar>
+  static void fields(Self& self, Ar& a) {
+    std::uint64_t id = self.config_.node_id;
+    a.field("fw.node_id", id);
+    if (id != self.config_.node_id) {
+      throw std::runtime_error("checkpoint: firmware node id mismatch");
+    }
+    a.field("fw.rng", self.rng_);
+    a.field("fw.state", self.state_, McuState::kOff, McuState::kAcked);
+    a.field("fw.rn16", self.rn16_);
+    a.field("fw.slot", self.slot_);
+    a.field("fw.selected", self.selected_);
+    a.field("fw.blf", self.config_.blf);
+    a.field("fw.bitrate", self.config_.uplink.bitrate);
+  }
 
  private:
   std::optional<UplinkFrame> on_select(const phy::SelectCommand& s);

@@ -4,8 +4,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "dsp/serialize.hpp"
-
 namespace ecocap::node {
 
 Harvester::Harvester(HarvesterConfig config) : config_(config) {
@@ -54,16 +52,6 @@ Real Harvester::step(Real dt, Real vin_peak, Real load_current) {
 void Harvester::reset() {
   v_cap_ = 0.0;
   powered_ = false;
-}
-
-void Harvester::save(dsp::ser::Writer& w) const {
-  w.real("hv.v_cap", v_cap_);
-  w.u64("hv.powered", powered_ ? 1 : 0);
-}
-
-void Harvester::load(dsp::ser::Reader& r) {
-  v_cap_ = r.real("hv.v_cap");
-  powered_ = r.u64("hv.powered") != 0;
 }
 
 }  // namespace ecocap::node

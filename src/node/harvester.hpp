@@ -4,11 +4,6 @@
 
 #include "dsp/types.hpp"
 
-namespace ecocap::dsp::ser {
-class Writer;
-class Reader;
-}  // namespace ecocap::dsp::ser
-
 namespace ecocap::node {
 
 using dsp::Real;
@@ -60,8 +55,11 @@ class Harvester {
   void reset();
 
   /// Bit-exact storage-cap state round trip.
-  void save(dsp::ser::Writer& w) const;
-  void load(dsp::ser::Reader& r);
+  template <class Self, class Ar>
+  static void fields(Self& self, Ar& a) {
+    a.field("hv.v_cap", self.v_cap_);
+    a.field("hv.powered", self.powered_);
+  }
 
   const HarvesterConfig& config() const { return config_; }
 

@@ -4,8 +4,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "dsp/serialize.hpp"
-
 namespace ecocap::phy {
 
 namespace {
@@ -84,21 +82,6 @@ Real RingingPzt::ring_decay_time(Real fraction) const {
 Real ook_tail_duration(Real resonance, Real q, Real threshold) {
   const Real tau = q / (kPi * resonance);
   return tau * std::log(1.0 / threshold);
-}
-
-void RingingPzt::save(dsp::ser::Writer& w) const {
-  w.real("pzt.s_re", s_.real());
-  w.real("pzt.s_im", s_.imag());
-  w.real("pzt.env", env_);
-  w.real("pzt.peak", peak_);
-}
-
-void RingingPzt::load(dsp::ser::Reader& r) {
-  const Real re = r.real("pzt.s_re");
-  const Real im = r.real("pzt.s_im");
-  s_ = {re, im};
-  env_ = r.real("pzt.env");
-  peak_ = r.real("pzt.peak");
 }
 
 }  // namespace ecocap::phy

@@ -5,11 +5,6 @@
 
 #include "dsp/types.hpp"
 
-namespace ecocap::dsp::ser {
-class Writer;
-class Reader;
-}  // namespace ecocap::dsp::ser
-
 namespace ecocap::phy {
 
 using dsp::Real;
@@ -68,8 +63,16 @@ class RingingPzt {
   Real ring_decay_time(Real fraction = 0.05) const;
 
   /// Bit-exact resonator-state round trip (pole/gain terms are config).
-  void save(dsp::ser::Writer& w) const;
-  void load(dsp::ser::Reader& r);
+  template <class Self, class Ar>
+  static void fields(Self& self, Ar& a) {
+    Real re = self.s_.real();
+    Real im = self.s_.imag();
+    a.field("pzt.s_re", re);
+    a.field("pzt.s_im", im);
+    if constexpr (Ar::kLoading) self.s_ = {re, im};
+    a.field("pzt.env", self.env_);
+    a.field("pzt.peak", self.peak_);
+  }
 
  private:
   Real fs_;

@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <map>
+#include <stdexcept>
 #include <vector>
 
 #include "channel/snr_models.hpp"
@@ -174,10 +175,40 @@ class LinkSupervisor {
   }
   SupervisorTotals totals() const;
 
-  /// Checkpoint the full supervisor state (every tracked node).
-  void save(dsp::ser::Writer& w) const;
-  /// Restore; the tracked-node set is rebuilt from the checkpoint.
-  void load(dsp::ser::Reader& r);
+  /// Checkpoint the full supervisor state (every tracked node); loading
+  /// rebuilds the tracked-node set from the checkpoint.
+  template <class Self, class Ar>
+  static void fields(Self& self, Ar& a) {
+    a.field("sup.round_quality", self.round_quality_);
+    a.seq("sup.nodes", self.states_, [&](auto& node) {
+      auto& [id, s] = node;
+      a.field("sup.node", id);
+      a.field("sup.ladder_index", s.ladder_index);
+      if (s.ladder_index < 0 ||
+          s.ladder_index >= static_cast<int>(self.config_.ladder.size())) {
+        throw std::runtime_error("checkpoint: ladder index out of range");
+      }
+      a.field("sup.ewma_success", s.ewma_success);
+      a.field("sup.ewma_snr_db", s.ewma_snr_db);
+      a.field("sup.has_snr", s.has_snr);
+      a.field("sup.consecutive_ok", s.consecutive_ok);
+      a.field("sup.consecutive_miss", s.consecutive_miss);
+      a.field("sup.probing", s.probing);
+      a.field("sup.probe_streak_needed", s.probe_streak_needed);
+      a.field("sup.quarantined", s.quarantined);
+      a.field("sup.quarantine_wait", s.quarantine_wait);
+      a.field("sup.reintegration_backoff", s.reintegration_backoff);
+      a.field("sup.fallbacks", s.fallbacks);
+      a.field("sup.probes", s.probes);
+      a.field("sup.failed_probes", s.failed_probes);
+      a.field("sup.quarantines", s.quarantines);
+      a.field("sup.reintegrations", s.reintegrations);
+      a.field("sup.reintegration_probes", s.reintegration_probes);
+      a.field("sup.skipped_polls", s.skipped_polls);
+    });
+  }
+  void save(dsp::ser::Writer& w) const { fields(*this, w); }
+  void load(dsp::ser::Reader& r) { fields(*this, r); }
 
  private:
   NodeLinkState& mutable_state(std::uint16_t node_id);

@@ -211,9 +211,15 @@ void DaemonSupervisor::maybe_checkpoint(Daemon& d, std::size_t i,
   }
   std::string payload = d.reader->checkpoint();
   if (!config_.checkpoint_dir.empty()) {
-    dsp::ser::atomic_write_file(
-        config_.checkpoint_dir + "/daemon_" + std::to_string(i) + ".ckpt",
-        payload);
+    // The in-memory copy below still drives recovery, so a failed mirror
+    // write is counted, not thrown (a throw here would read as a crash).
+    try {
+      dsp::ser::Checkpoint::write(
+          config_.checkpoint_dir + "/daemon_" + std::to_string(i) + ".ckpt",
+          payload);
+    } catch (const std::runtime_error&) {
+      ++d.stats.checkpoint_write_failures;
+    }
   }
   {
     const std::lock_guard<std::mutex> lock(d.checkpoint_mu);

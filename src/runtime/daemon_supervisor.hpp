@@ -71,7 +71,8 @@ struct RuntimeConfig {
   /// Checkpoint cadence in polls (0 = only the implicit restart-from-
   /// scratch recovery). Checkpoints are kept in memory and — when
   /// `checkpoint_dir` is set — mirrored to `<dir>/daemon_<i>.ckpt` via the
-  /// crash-safe atomic_write_file.
+  /// crash-safe checkpoint file write; a failed mirror write is counted in
+  /// DaemonRuntimeStats::checkpoint_write_failures.
   std::uint64_t checkpoint_every_polls = 8;
   std::string checkpoint_dir;
   /// Daemon -> collector event rings: capacity and overflow policy.
@@ -104,6 +105,7 @@ struct DaemonRuntimeStats {
   std::uint64_t stalls = 0;            ///< injected pipeline stalls
   std::uint64_t watchdog_kicks = 0;    ///< hung detections (stale heartbeat)
   std::uint64_t checkpoints = 0;
+  std::uint64_t checkpoint_write_failures = 0;  ///< failed file mirrors
   std::uint64_t resumed_from_checkpoint = 0;
   std::uint64_t restarted_from_scratch = 0;
   std::uint64_t events_pushed = 0;     ///< ring pushes attempted

@@ -91,14 +91,4 @@ BridgeState FootbridgeModel::step(Real t_days, const WeatherSample& weather,
   return state;
 }
 
-void FootbridgeModel::save(dsp::ser::Writer& w) const {
-  w.rng("bridge.rng", rng_);
-  pedestrians_.save(w);
-}
-
-void FootbridgeModel::load(dsp::ser::Reader& r) {
-  r.rng("bridge.rng", rng_);
-  pedestrians_.load(r);
-}
-
 }  // namespace ecocap::shm

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "dsp/rng.hpp"
-#include "dsp/serialize.hpp"
 #include "shm/health.hpp"
 #include "shm/pedestrian.hpp"
 #include "shm/weather.hpp"
@@ -103,8 +102,11 @@ class FootbridgeModel {
 
   /// Checkpoint the model's mutable state (own RNG + the pedestrian
   /// model's RNG).
-  void save(dsp::ser::Writer& w) const;
-  void load(dsp::ser::Reader& r);
+  template <class Self, class Ar>
+  static void fields(Self& self, Ar& a) {
+    a.field("bridge.rng", self.rng_);
+    a.object(self.pedestrians_);
+  }
 
   const Config& config() const { return config_; }
 

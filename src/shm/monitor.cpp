@@ -5,9 +5,11 @@
 #include <limits>
 #include <map>
 #include <stdexcept>
+#include <tuple>
 #include <utility>
 
 #include "core/workspace_pool.hpp"
+#include "dsp/serialize.hpp"
 
 namespace ecocap::shm {
 
@@ -15,7 +17,7 @@ namespace {
 
 /// Checkpoint format tag; bump the version on any schema change so stale
 /// files are rejected instead of misread (docs/benchmarks.md documents the
-/// schema).
+/// envelope).
 constexpr const char* kCheckpointHeader = "ecocap-campaign-checkpoint v1";
 
 void accumulate(reader::InventoryStats& into,
@@ -40,182 +42,92 @@ void accumulate(reader::InventoryStats& into,
 using HoldMap = std::map<std::pair<std::uint16_t, std::uint8_t>,
                          std::pair<reader::SensorReading, Real>>;
 
-void save_stats(dsp::ser::Writer& w, const reader::InventoryStats& s) {
-  w.i64("stats.rounds", s.rounds);
-  w.i64("stats.slots", s.slots);
-  w.i64("stats.empty_slots", s.empty_slots);
-  w.i64("stats.collisions", s.collisions);
-  w.i64("stats.singleton_slots", s.singleton_slots);
-  w.i64("stats.acked", s.acked);
-  w.i64("stats.read_ok", s.read_ok);
-  w.i64("stats.read_failed", s.read_failed);
-  w.i64("stats.retries", s.retries);
-  w.i64("stats.timeouts", s.timeouts);
-  w.i64("stats.crc_fails", s.crc_fails);
-  w.i64("stats.giveups", s.giveups);
-  w.i64("stats.backoff_slots", s.backoff_slots);
-  w.i64("stats.deadline_trips", s.deadline_trips);
+template <class Stats, class Ar>
+void stats_fields(Stats& s, Ar& a) {
+  a.field("stats.rounds", s.rounds);
+  a.field("stats.slots", s.slots);
+  a.field("stats.empty_slots", s.empty_slots);
+  a.field("stats.collisions", s.collisions);
+  a.field("stats.singleton_slots", s.singleton_slots);
+  a.field("stats.acked", s.acked);
+  a.field("stats.read_ok", s.read_ok);
+  a.field("stats.read_failed", s.read_failed);
+  a.field("stats.retries", s.retries);
+  a.field("stats.timeouts", s.timeouts);
+  a.field("stats.crc_fails", s.crc_fails);
+  a.field("stats.giveups", s.giveups);
+  a.field("stats.backoff_slots", s.backoff_slots);
+  a.field("stats.deadline_trips", s.deadline_trips);
 }
 
-void load_stats(dsp::ser::Reader& r, reader::InventoryStats& s) {
-  s.rounds = static_cast<int>(r.i64("stats.rounds"));
-  s.slots = static_cast<int>(r.i64("stats.slots"));
-  s.empty_slots = static_cast<int>(r.i64("stats.empty_slots"));
-  s.collisions = static_cast<int>(r.i64("stats.collisions"));
-  s.singleton_slots = static_cast<int>(r.i64("stats.singleton_slots"));
-  s.acked = static_cast<int>(r.i64("stats.acked"));
-  s.read_ok = static_cast<int>(r.i64("stats.read_ok"));
-  s.read_failed = static_cast<int>(r.i64("stats.read_failed"));
-  s.retries = static_cast<int>(r.i64("stats.retries"));
-  s.timeouts = static_cast<int>(r.i64("stats.timeouts"));
-  s.crc_fails = static_cast<int>(r.i64("stats.crc_fails"));
-  s.giveups = static_cast<int>(r.i64("stats.giveups"));
-  s.backoff_slots = static_cast<int>(r.i64("stats.backoff_slots"));
-  s.deadline_trips = static_cast<int>(r.i64("stats.deadline_trips"));
-}
-
-void save_series(dsp::ser::Writer& w, std::string_view key,
-                 const TimeSeries& ts) {
-  const auto span = ts.values();
-  w.real_vec(key, std::vector<Real>(span.begin(), span.end()));
-}
-
-void load_series(dsp::ser::Reader& r, std::string_view key, TimeSeries& ts) {
-  ts.set_values(r.real_vec(key));
-}
-
-void save_reading(dsp::ser::Writer& w, const reader::SensorReading& s) {
-  w.u64("reading.node", s.node_id);
-  w.u64("reading.sensor", s.sensor_id);
-  w.real("reading.value", s.value);
-}
-
-reader::SensorReading load_reading(dsp::ser::Reader& r) {
-  reader::SensorReading s;
-  s.node_id = static_cast<std::uint16_t>(r.u64("reading.node"));
-  s.sensor_id = static_cast<std::uint8_t>(r.u64("reading.sensor"));
-  s.value = r.real("reading.value");
-  return s;
-}
-
-void save_result(dsp::ser::Writer& w, const CampaignResult& res) {
-  save_series(w, "series.acceleration", res.acceleration);
-  save_series(w, "series.stress", res.stress);
-  save_series(w, "series.stress_side", res.stress_side);
-  save_series(w, "series.humidity", res.humidity);
-  save_series(w, "series.temperature", res.temperature);
-  save_series(w, "series.pressure", res.pressure);
-  save_series(w, "series.pao", res.pao);
-
-  w.u64("result.minute_reports", res.minute_reports.size());
-  for (const auto& row : res.minute_reports) {
-    for (const auto& sec : row) {
-      w.i64("report.section", sec.section);
-      w.i64("report.pedestrians", sec.pedestrians);
-      w.i64("report.health", static_cast<std::int64_t>(sec.health));
-      w.real("report.speed", sec.walking_speed);
-    }
+template <class Ar>
+void series_field(std::string_view key, TimeSeries& ts, Ar& a) {
+  if constexpr (Ar::kLoading) {
+    ts.set_values(a.real_vec(key));
+  } else {
+    const auto v = ts.values();
+    a.real_vec(key, std::vector<Real>(v.begin(), v.end()));
   }
-
-  std::size_t hist_entries = 0;
-  for (const auto& by_section : res.health_histogram) {
-    hist_entries += by_section.second.size();
-  }
-  w.u64("result.health_histogram", hist_entries);
-  for (const auto& [sec, m] : res.health_histogram) {
-    for (const auto& [letter, count] : m) {
-      w.i64("hist.section", sec);
-      w.i64("hist.letter", letter);
-      w.i64("hist.count", count);
-    }
-  }
-
-  w.i64("result.limit_violations", res.limit_violations);
-
-  w.u64("result.capsule_readings", res.capsule_readings.size());
-  for (const auto& cr : res.capsule_readings) save_reading(w, cr);
-
-  w.u64("result.capsule_log", res.capsule_log.size());
-  for (const auto& entry : res.capsule_log) {
-    save_reading(w, entry.reading);
-    w.u64("log.stale", entry.stale ? 1 : 0);
-    w.real("log.age_hours", entry.age_hours);
-  }
-
-  w.u64("result.max_staleness", res.max_staleness_hours.size());
-  for (const auto& [node, hours] : res.max_staleness_hours) {
-    w.u64("staleness.node", node);
-    w.real("staleness.hours", hours);
-  }
-
-  save_stats(w, res.inventory_totals);
 }
 
-void load_result(dsp::ser::Reader& r, CampaignResult& res) {
-  load_series(r, "series.acceleration", res.acceleration);
-  load_series(r, "series.stress", res.stress);
-  load_series(r, "series.stress_side", res.stress_side);
-  load_series(r, "series.humidity", res.humidity);
-  load_series(r, "series.temperature", res.temperature);
-  load_series(r, "series.pressure", res.pressure);
-  load_series(r, "series.pao", res.pao);
+template <class Reading, class Ar>
+void reading_fields(Reading& s, Ar& a) {
+  a.field("reading.node", s.node_id);
+  a.field("reading.sensor", s.sensor_id);
+  a.field("reading.value", s.value);
+}
 
-  const std::uint64_t rows = r.u64("result.minute_reports");
-  res.minute_reports.clear();
-  res.minute_reports.reserve(rows);
-  for (std::uint64_t i = 0; i < rows; ++i) {
-    std::array<SectionReport, 5> row;
+template <class Ar>
+void result_fields(CampaignResult& res, Ar& a) {
+  series_field("series.acceleration", res.acceleration, a);
+  series_field("series.stress", res.stress, a);
+  series_field("series.stress_side", res.stress_side, a);
+  series_field("series.humidity", res.humidity, a);
+  series_field("series.temperature", res.temperature, a);
+  series_field("series.pressure", res.pressure, a);
+  series_field("series.pao", res.pao, a);
+
+  a.seq("result.minute_reports", res.minute_reports, [&](auto& row) {
     for (auto& sec : row) {
-      sec.section = static_cast<char>(r.i64("report.section"));
-      sec.pedestrians = static_cast<int>(r.i64("report.pedestrians"));
-      const std::int64_t h = r.i64("report.health");
-      if (h < static_cast<std::int64_t>(HealthLevel::kA) ||
-          h > static_cast<std::int64_t>(HealthLevel::kF)) {
-        throw std::runtime_error("checkpoint: bad health level");
-      }
-      sec.health = static_cast<HealthLevel>(h);
-      sec.walking_speed = r.real("report.speed");
+      a.field("report.section", sec.section);
+      a.field("report.pedestrians", sec.pedestrians);
+      a.field("report.health", sec.health, HealthLevel::kA, HealthLevel::kF);
+      a.field("report.speed", sec.walking_speed);
     }
-    res.minute_reports.push_back(row);
+  });
+
+  // Stored flat: one (section, letter, count) record per histogram cell.
+  std::vector<std::tuple<char, char, int>> cells;
+  for (const auto& [sec, by_letter] : res.health_histogram) {
+    for (const auto& [letter, count] : by_letter) {
+      cells.emplace_back(sec, letter, count);
+    }
+  }
+  a.seq("result.health_histogram", cells, [&](auto& cell) {
+    a.field("hist.section", std::get<0>(cell));
+    a.field("hist.letter", std::get<1>(cell));
+    a.field("hist.count", std::get<2>(cell));
+  });
+  if constexpr (Ar::kLoading) {
+    res.health_histogram.clear();
+    for (const auto& [sec, letter, count] : cells) {
+      res.health_histogram[sec][letter] = count;
+    }
   }
 
-  const std::uint64_t hist_entries = r.u64("result.health_histogram");
-  res.health_histogram.clear();
-  for (std::uint64_t i = 0; i < hist_entries; ++i) {
-    const char sec = static_cast<char>(r.i64("hist.section"));
-    const char letter = static_cast<char>(r.i64("hist.letter"));
-    res.health_histogram[sec][letter] =
-        static_cast<int>(r.i64("hist.count"));
-  }
-
-  res.limit_violations = static_cast<int>(r.i64("result.limit_violations"));
-
-  const std::uint64_t readings = r.u64("result.capsule_readings");
-  res.capsule_readings.clear();
-  res.capsule_readings.reserve(readings);
-  for (std::uint64_t i = 0; i < readings; ++i) {
-    res.capsule_readings.push_back(load_reading(r));
-  }
-
-  const std::uint64_t log_entries = r.u64("result.capsule_log");
-  res.capsule_log.clear();
-  res.capsule_log.reserve(log_entries);
-  for (std::uint64_t i = 0; i < log_entries; ++i) {
-    CapsuleReading entry;
-    entry.reading = load_reading(r);
-    entry.stale = r.u64("log.stale") != 0;
-    entry.age_hours = r.real("log.age_hours");
-    res.capsule_log.push_back(entry);
-  }
-
-  const std::uint64_t stale_nodes = r.u64("result.max_staleness");
-  res.max_staleness_hours.clear();
-  for (std::uint64_t i = 0; i < stale_nodes; ++i) {
-    const auto node = static_cast<std::uint16_t>(r.u64("staleness.node"));
-    res.max_staleness_hours[node] = r.real("staleness.hours");
-  }
-
-  load_stats(r, res.inventory_totals);
+  a.field("result.limit_violations", res.limit_violations);
+  a.seq("result.capsule_readings", res.capsule_readings,
+        [&](auto& reading) { reading_fields(reading, a); });
+  a.seq("result.capsule_log", res.capsule_log, [&](auto& entry) {
+    reading_fields(entry.reading, a);
+    a.field("log.stale", entry.stale);
+    a.field("log.age_hours", entry.age_hours);
+  });
+  a.seq("result.max_staleness", res.max_staleness_hours, [&](auto& node) {
+    a.field("staleness.node", node.first);
+    a.field("staleness.hours", node.second);
+  });
+  stats_fields(res.inventory_totals, a);
 }
 
 }  // namespace
@@ -267,39 +179,38 @@ CampaignResult MonitoringCampaign::run_impl(bool from_checkpoint) {
 
   // Per-channel hold state for the degradation path.
   HoldMap last_good;
-  std::size_t start_step = 0;
+  std::size_t checkpoint_cursor = 0;  // the next step to run
 
-  if (from_checkpoint) {
-    const auto content = dsp::ser::read_file(config_.checkpoint_path);
-    if (!content) {
-      throw std::runtime_error("resume: cannot read checkpoint " +
-                               config_.checkpoint_path);
-    }
-    dsp::ser::Reader r(*content, kCheckpointHeader);
-    // Config fingerprint: a checkpoint only resumes the campaign that
-    // wrote it. Hexfloat round trips are exact, so == is the right test.
-    if (r.real("config.days") != config_.days ||
-        r.real("config.step_minutes") != config_.step_minutes ||
-        static_cast<int>(r.i64("config.capsule_count")) !=
-            config_.capsule_count ||
-        r.real("config.poll_hours") != config_.capsule_poll_hours ||
-        r.u64("config.seed") != config_.seed ||
-        (r.u64("config.supervised") != 0) != config_.supervisor.enabled) {
-      throw std::runtime_error(
-          "resume: checkpoint was written by a different campaign config");
-    }
-    start_step = r.u64("campaign.cursor");
-    load_result(r, result);
-    const std::uint64_t held = r.u64("campaign.held");
-    for (std::uint64_t i = 0; i < held; ++i) {
-      const reader::SensorReading s = load_reading(r);
-      const Real hours = r.real("held.hours");
-      last_good[{s.node_id, s.sensor_id}] = {s, hours};
-    }
-    weather.load(r);
-    bridge.load(r);
-    session.load(r);
-  }
+  // A checkpoint only resumes the campaign whose config wrote it. State
+  // after step k-1 with cursor k resumes at step k: everything the loop
+  // body mutates is serialized, so the continuation replays the exact draw
+  // sequence of an uninterrupted run.
+  const dsp::ser::Checkpoint checkpoint(
+      kCheckpointHeader, [this](dsp::ser::Writer& w) {
+        w.field("config.days", config_.days);
+        w.field("config.step_minutes", config_.step_minutes);
+        w.field("config.capsule_count", config_.capsule_count);
+        w.field("config.poll_hours", config_.capsule_poll_hours);
+        w.field("config.seed", config_.seed);
+        w.field("config.supervised", config_.supervisor.enabled);
+      });
+  const auto state = [&]<class Ar>(Ar& a) {
+    a.field("campaign.cursor", checkpoint_cursor);
+    result_fields(result, a);
+    a.seq("campaign.held", last_good, [&](auto& held) {
+      auto& [channel, entry] = held;
+      reading_fields(entry.first, a);
+      a.field("held.hours", entry.second);
+      if constexpr (Ar::kLoading) {
+        channel = {entry.first.node_id, entry.first.sensor_id};
+      }
+    });
+    a.object(weather);
+    a.object(bridge);
+    a.object(session);
+  };
+  if (from_checkpoint) checkpoint.load(config_.checkpoint_path, state);
+  const std::size_t start_step = checkpoint_cursor;
 
   const auto steps = static_cast<std::size_t>(
       config_.days * 24.0 * 60.0 / config_.step_minutes);
@@ -324,31 +235,9 @@ CampaignResult MonitoringCampaign::run_impl(bool from_checkpoint) {
     result.minute_reports.reserve(steps / 60 + 1);
   }
 
-  // State after step k-1 with cursor k resumes at step k: everything the
-  // loop body mutates is serialized, so the continuation replays the exact
-  // draw sequence of an uninterrupted run.
   const auto write_checkpoint = [&](std::size_t cursor) {
-    dsp::ser::Writer w(kCheckpointHeader);
-    w.real("config.days", config_.days);
-    w.real("config.step_minutes", config_.step_minutes);
-    w.i64("config.capsule_count", config_.capsule_count);
-    w.real("config.poll_hours", config_.capsule_poll_hours);
-    w.u64("config.seed", config_.seed);
-    w.u64("config.supervised", config_.supervisor.enabled ? 1 : 0);
-    w.u64("campaign.cursor", cursor);
-    save_result(w, result);
-    w.u64("campaign.held", last_good.size());
-    for (const auto& entry : last_good) {
-      save_reading(w, entry.second.first);
-      w.real("held.hours", entry.second.second);
-    }
-    weather.save(w);
-    bridge.save(w);
-    session.save(w);
-    if (!dsp::ser::atomic_write_file(config_.checkpoint_path, w.payload())) {
-      throw std::runtime_error("checkpoint: cannot write " +
-                               config_.checkpoint_path);
-    }
+    checkpoint_cursor = cursor;
+    checkpoint.save(config_.checkpoint_path, state);
   };
 
   for (std::size_t k = start_step; k < steps; ++k) {

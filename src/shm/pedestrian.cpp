@@ -61,14 +61,6 @@ Real PedestrianModel::walking_speed(int count,
   return speed;
 }
 
-void PedestrianModel::save(dsp::ser::Writer& w) const {
-  w.rng("pedestrians.rng", rng_);
-}
-
-void PedestrianModel::load(dsp::ser::Reader& r) {
-  r.rng("pedestrians.rng", rng_);
-}
-
 Real pedestrian_area_occupancy(Real section_area, int count) {
   if (count <= 0) return std::numeric_limits<Real>::infinity();
   return section_area / static_cast<Real>(count);

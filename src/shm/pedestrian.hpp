@@ -3,7 +3,6 @@
 #include <vector>
 
 #include "dsp/rng.hpp"
-#include "dsp/serialize.hpp"
 #include "dsp/types.hpp"
 #include "shm/weather.hpp"
 
@@ -40,8 +39,10 @@ class PedestrianModel {
   Real walking_speed(int count, const WeatherSample& weather) const;
 
   /// Checkpoint the model's mutable state (the RNG stream).
-  void save(dsp::ser::Writer& w) const;
-  void load(dsp::ser::Reader& r);
+  template <class Self, class Ar>
+  static void fields(Self& self, Ar& a) {
+    a.field("pedestrians.rng", self.rng_);
+  }
 
  private:
   Config config_;

@@ -54,10 +54,4 @@ WeatherSample WeatherModel::sample(Real t_days) {
   return w;
 }
 
-void WeatherModel::save(dsp::ser::Writer& w) const {
-  w.rng("weather.rng", rng_);
-}
-
-void WeatherModel::load(dsp::ser::Reader& r) { r.rng("weather.rng", rng_); }
-
 }  // namespace ecocap::shm

@@ -3,7 +3,6 @@
 #include <vector>
 
 #include "dsp/rng.hpp"
-#include "dsp/serialize.hpp"
 #include "dsp/types.hpp"
 
 namespace ecocap::shm {
@@ -49,8 +48,10 @@ class WeatherModel {
 
   /// Checkpoint the model's mutable state (the RNG stream; the config is
   /// rebuilt from the campaign config on resume).
-  void save(dsp::ser::Writer& w) const;
-  void load(dsp::ser::Reader& r);
+  template <class Self, class Ar>
+  static void fields(Self& self, Ar& a) {
+    a.field("weather.rng", self.rng_);
+  }
 
  private:
   Config config_;

@@ -10,7 +10,6 @@
 #include <utility>
 
 #include "dsp/rng.hpp"
-#include "dsp/serialize.hpp"
 
 namespace ecocap::stream {
 
@@ -97,39 +96,6 @@ void StreamPipeline::set_block_size(std::size_t block_size) {
     throw std::invalid_argument("StreamPipeline: block_size must be > 0");
   }
   config_.block_size = block_size;
-}
-
-void StreamPipeline::save(dsp::ser::Writer& w) const {
-  w.u64("sp.pos", pos_);
-  w.u64("sp.fault_epoch", fault_epoch_);
-  w.u64("sp.clock_samples", clock_.samples());
-  w.u64("sp.clock_blocks", clock_.blocks());
-  fault::save_plan(w, active_plan_);
-  tx_.save(w);
-  dl_.save(w);
-  node_.save(w);
-  ul_.save(w);
-  rx_.save(w);
-}
-
-void StreamPipeline::load(dsp::ser::Reader& r) {
-  pos_ = r.u64("sp.pos");
-  const std::uint64_t epoch = r.u64("sp.fault_epoch");
-  const std::uint64_t clock_samples = r.u64("sp.clock_samples");
-  const std::uint64_t clock_blocks = r.u64("sp.clock_blocks");
-  const fault::FaultPlan plan = fault::load_plan(r);
-  // Rebuild the injectors against the checkpointed plan (their seeding is
-  // irrelevant — the stage loads below restore the exact RNG stream
-  // positions), then restore the epoch counter so the next mid-run swap
-  // derives the same fresh streams an uninterrupted run would.
-  set_fault_plan(plan);
-  fault_epoch_ = epoch;
-  clock_.resume_at(clock_samples, clock_blocks);
-  tx_.load(r);
-  dl_.load(r);
-  node_.load(r);
-  ul_.load(r);
-  rx_.load(r);
 }
 
 void StreamPipeline::schedule_emission(ScheduledEmission e) {

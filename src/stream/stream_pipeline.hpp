@@ -110,8 +110,32 @@ class StreamPipeline {
   /// position, and the deterministic clock counters — everything a
   /// restarted daemon needs to continue bit-identically. Wall-clock
   /// telemetry is deliberately excluded.
-  void save(dsp::ser::Writer& w) const;
-  void load(dsp::ser::Reader& r);
+  template <class Self, class Ar>
+  static void fields(Self& self, Ar& a) {
+    a.field("sp.pos", self.pos_);
+    std::uint64_t epoch = self.fault_epoch_;
+    std::uint64_t clock_samples = self.clock_.samples();
+    std::uint64_t clock_blocks = self.clock_.blocks();
+    fault::FaultPlan plan = self.active_plan_;
+    a.field("sp.fault_epoch", epoch);
+    a.field("sp.clock_samples", clock_samples);
+    a.field("sp.clock_blocks", clock_blocks);
+    a.object(plan);
+    if constexpr (Ar::kLoading) {
+      // Rebuild the injectors against the checkpointed plan (their seeding is
+      // irrelevant — the stage loads below restore the exact RNG stream
+      // positions), then restore the epoch counter so the next mid-run swap
+      // derives the same fresh streams an uninterrupted run would.
+      self.set_fault_plan(plan);
+      self.fault_epoch_ = epoch;
+      self.clock_.resume_at(clock_samples, clock_blocks);
+    }
+    a.object(self.tx_);
+    a.object(self.dl_);
+    a.object(self.node_);
+    a.object(self.ul_);
+    a.object(self.rx_);
+  }
 
  private:
   void run_inline(std::uint64_t until);

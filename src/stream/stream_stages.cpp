@@ -6,7 +6,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "dsp/serialize.hpp"
 #include "dsp/signal_ops.hpp"
 
 namespace ecocap::stream {
@@ -25,16 +24,6 @@ void TxStage::fill_block(std::size_t n, Signal& out) {
   pzt_.drive_inplace(out);
 }
 
-void TxStage::save(dsp::ser::Writer& w) const {
-  w.real("tx.phase", osc_.phase());
-  pzt_.save(w);
-}
-
-void TxStage::load(dsp::ser::Reader& r) {
-  osc_.reset_phase(r.real("tx.phase"));
-  pzt_.load(r);
-}
-
 // ----------------------------------------------------------- DownlinkStage
 
 DownlinkStage::DownlinkStage(const channel::ConcreteChannel& channel,
@@ -51,16 +40,6 @@ void DownlinkStage::push_block(Signal& x) {
 
 void DownlinkStage::set_injector(fault::Injector injector) {
   injector_ = std::move(injector);
-}
-
-void DownlinkStage::save(dsp::ser::Writer& w) const {
-  stream_.save(w);
-  injector_.save(w);
-}
-
-void DownlinkStage::load(dsp::ser::Reader& r) {
-  stream_.load(r);
-  injector_.load(r);
 }
 
 // --------------------------------------------------------------- NodeStage
@@ -96,7 +75,7 @@ std::vector<NodeFrameEvent> NodeStage::drain_events() {
   return out;
 }
 
-void NodeStage::save(dsp::ser::Writer& w) const {
+void NodeStage::check_quiescent() const {
   if (!queue_.empty() || !events_.empty()) {
     throw std::runtime_error(
         "checkpoint: NodeStage not quiescent (pending emissions or events)");
@@ -107,22 +86,6 @@ void NodeStage::save(dsp::ser::Writer& w) const {
   // A stale active_ (its switching already fully consumed) would be reset
   // without any RNG draw at the next push_block, so "no active emission"
   // serializes the equivalent state.
-  w.u64("ns.pos", pos_);
-  w.real("ns.chunk_peak", chunk_peak_);
-  w.u64("ns.chunk_fill", chunk_fill_);
-  harvester_.save(w);
-  injector_.save(w);
-}
-
-void NodeStage::load(dsp::ser::Reader& r) {
-  pos_ = r.u64("ns.pos");
-  chunk_peak_ = r.real("ns.chunk_peak");
-  chunk_fill_ = static_cast<std::size_t>(r.u64("ns.chunk_fill"));
-  harvester_.load(r);
-  injector_.load(r);
-  queue_.clear();
-  active_.reset();
-  events_.clear();
 }
 
 void NodeStage::harvest_segment(const Real* x, std::size_t n) {
@@ -225,16 +188,6 @@ void UplinkStage::set_injector(fault::Injector injector) {
   injector_ = std::move(injector);
 }
 
-void UplinkStage::save(dsp::ser::Writer& w) const {
-  stream_.save(w);
-  injector_.save(w);
-}
-
-void UplinkStage::load(dsp::ser::Reader& r) {
-  stream_.load(r);
-  injector_.load(r);
-}
-
 // ----------------------------------------------------------------- RxStage
 
 RxStage::RxStage(const reader::ReceiverConfig& config) : receiver_(config) {}
@@ -286,19 +239,12 @@ std::vector<DecodedUplink> RxStage::drain_decodes() {
   return out;
 }
 
-void RxStage::save(dsp::ser::Writer& w) const {
+void RxStage::check_quiescent() const {
   if (!pending_.empty() || !decodes_.empty()) {
     throw std::runtime_error(
         "checkpoint: RxStage not quiescent (open capture or undrained "
         "decodes)");
   }
-  w.u64("rx.pos", pos_);
-}
-
-void RxStage::load(dsp::ser::Reader& r) {
-  pos_ = r.u64("rx.pos");
-  pending_.clear();
-  decodes_.clear();
 }
 
 }  // namespace ecocap::stream

@@ -83,8 +83,13 @@ class TxStage {
   void fill_block(std::size_t n, Signal& out);
 
   /// Bit-exact carried-state round trip (oscillator phase + PZT ring tail).
-  void save(dsp::ser::Writer& w) const;
-  void load(dsp::ser::Reader& r);
+  template <class Self, class Ar>
+  static void fields(Self& self, Ar& a) {
+    Real phase = self.osc_.phase();
+    a.field("tx.phase", phase);
+    if constexpr (Ar::kLoading) self.osc_.reset_phase(phase);
+    a.object(self.pzt_);
+  }
 
  private:
   dsp::Oscillator osc_;
@@ -106,8 +111,11 @@ class DownlinkStage {
 
   /// Carried channel-stream state + injector state. The injector must be
   /// rebuilt with the live plan (set_injector) before load.
-  void save(dsp::ser::Writer& w) const;
-  void load(dsp::ser::Reader& r);
+  template <class Self, class Ar>
+  static void fields(Self& self, Ar& a) {
+    a.object(self.stream_);
+    a.object(self.injector_);
+  }
 
  private:
   channel::ConcreteChannel::DownlinkStream stream_;
@@ -156,14 +164,28 @@ class NodeStage {
   /// the pipeline is idle (between segments).
   std::vector<NodeFrameEvent> drain_events();
 
-  /// Carried-state round trip at a quiescent point: the emission queue must
-  /// be empty and the events drained (throws otherwise); a stale
+  /// Carried-state round trip at a quiescent point: saving requires an
+  /// empty emission queue and drained events (throws otherwise); a stale
   /// already-finished active emission is equivalent to none and is not
-  /// serialized.
-  void save(dsp::ser::Writer& w) const;
-  void load(dsp::ser::Reader& r);
+  /// serialized. A loaded stage starts between emissions.
+  template <class Self, class Ar>
+  static void fields(Self& self, Ar& a) {
+    if constexpr (Ar::kLoading) {
+      self.queue_.clear();
+      self.active_.reset();
+      self.events_.clear();
+    } else {
+      self.check_quiescent();
+    }
+    a.field("ns.pos", self.pos_);
+    a.field("ns.chunk_peak", self.chunk_peak_);
+    a.field("ns.chunk_fill", self.chunk_fill_);
+    a.object(self.harvester_);
+    a.object(self.injector_);
+  }
 
  private:
+  void check_quiescent() const;
   void harvest_segment(const Real* x, std::size_t n);
   void begin_emission(std::uint64_t abs);
 
@@ -198,8 +220,11 @@ class UplinkStage {
   fault::Injector& injector() { return injector_; }
 
   /// Carried channel-stream state + injector state (see DownlinkStage).
-  void save(dsp::ser::Writer& w) const;
-  void load(dsp::ser::Reader& r);
+  template <class Self, class Ar>
+  static void fields(Self& self, Ar& a) {
+    a.object(self.stream_);
+    a.object(self.injector_);
+  }
 
  private:
   channel::ConcreteChannel::UplinkStream stream_;
@@ -238,13 +263,23 @@ class RxStage {
   /// chaos soak's leak check).
   const dsp::Workspace::Stats& workspace_stats() const { return ws_.stats(); }
 
-  /// Round trip at a quiescent point: every scheduled window must have
-  /// decoded and every decode drained (throws otherwise), so only the
-  /// stream position is state.
-  void save(dsp::ser::Writer& w) const;
-  void load(dsp::ser::Reader& r);
+  /// Round trip at a quiescent point: saving requires every scheduled
+  /// window decoded and every decode drained (throws otherwise), so only
+  /// the stream position is state.
+  template <class Self, class Ar>
+  static void fields(Self& self, Ar& a) {
+    if constexpr (Ar::kLoading) {
+      self.pending_.clear();
+      self.decodes_.clear();
+    } else {
+      self.check_quiescent();
+    }
+    a.field("rx.pos", self.pos_);
+  }
 
  private:
+  void check_quiescent() const;
+
   reader::Receiver receiver_;
   dsp::Workspace ws_;
   struct Pending {

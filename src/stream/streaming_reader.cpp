@@ -257,65 +257,52 @@ StreamingReaderStats StreamingReader::stats() const {
   return s;
 }
 
-std::string StreamingReader::checkpoint() const {
-  dsp::ser::Writer w(kCheckpointHeader);
+dsp::ser::Checkpoint StreamingReader::envelope() const {
   // Config fingerprint: a checkpoint only resumes into a reader built from
   // the same deterministic universe.
-  w.u64("sr.seed", config_.stream.system.seed);
-  w.u64("sr.node_id", config_.stream.system.capsule.firmware.node_id);
-  w.real("sr.fs", config_.stream.system.channel.fs);
-  w.real("sr.poll_interval", config_.poll_interval_s);
+  return {std::string(kCheckpointHeader), [this](dsp::ser::Writer& w) {
+            const auto& system = config_.stream.system;
+            w.field("sr.seed", system.seed);
+            w.field("sr.node_id", system.capsule.firmware.node_id);
+            w.field("sr.fs", system.channel.fs);
+            w.field("sr.poll_interval", config_.poll_interval_s);
+          }};
+}
+
+template <class Self, class Ar>
+void StreamingReader::fields(Self& self, Ar& a) {
   // Daemon cursors + cumulative counters.
-  w.u64("sr.next_fault", next_fault_);
-  w.u64("sr.poll_index", poll_index_);
-  w.u64("sr.warmed_up", warmed_up_ ? 1 : 0);
-  w.u64("sr.polls", stats_.polls);
-  w.u64("sr.delivered", stats_.delivered);
-  w.u64("sr.missed", stats_.missed);
-  w.u64("sr.skipped", stats_.skipped);
-  w.u64("sr.frames_scheduled", stats_.frames_scheduled);
-  w.u64("sr.frames_dropped_unpowered", stats_.frames_dropped_unpowered);
-  w.u64("sr.brownouts", stats_.brownouts);
-  w.u64("sr.fault_events_applied", stats_.fault_events_applied);
-  w.u64("sr.events_dropped", stats_.events_dropped);
-  pipeline_.save(w);
-  firmware_.save(w);
-  supervisor_.save(w);
-  const fleet::TelemetryStore& store =
-      config_.shared_store ? *config_.shared_store : telemetry_;
-  store.save_node(config_.shared_store ? config_.store_node : 0, w);
-  return w.payload();
+  a.field("sr.next_fault", self.next_fault_);
+  a.field("sr.poll_index", self.poll_index_);
+  a.field("sr.warmed_up", self.warmed_up_);
+  auto& s = self.stats_;
+  a.field("sr.polls", s.polls);
+  a.field("sr.delivered", s.delivered);
+  a.field("sr.missed", s.missed);
+  a.field("sr.skipped", s.skipped);
+  a.field("sr.frames_scheduled", s.frames_scheduled);
+  a.field("sr.frames_dropped_unpowered", s.frames_dropped_unpowered);
+  a.field("sr.brownouts", s.brownouts);
+  a.field("sr.fault_events_applied", s.fault_events_applied);
+  a.field("sr.events_dropped", s.events_dropped);
+  a.object(self.pipeline_);
+  a.object(self.firmware_);
+  a.object(self.supervisor_);
+}
+
+std::string StreamingReader::checkpoint() const {
+  return envelope().encode([this](dsp::ser::Writer& w) {
+    fields(*this, w);
+    telemetry().save_node(store_node(), w);
+  });
 }
 
 void StreamingReader::resume(const std::string& payload) {
-  dsp::ser::Reader r(payload, kCheckpointHeader);
-  if (r.u64("sr.seed") != config_.stream.system.seed ||
-      r.u64("sr.node_id") != config_.stream.system.capsule.firmware.node_id) {
-    throw std::runtime_error(
-        "checkpoint: seed/node fingerprint mismatch (wrong daemon?)");
-  }
-  if (r.real("sr.fs") != config_.stream.system.channel.fs ||
-      r.real("sr.poll_interval") != config_.poll_interval_s) {
-    throw std::runtime_error(
-        "checkpoint: rate fingerprint mismatch (config drifted?)");
-  }
-  next_fault_ = static_cast<std::size_t>(r.u64("sr.next_fault"));
-  poll_index_ = r.u64("sr.poll_index");
-  warmed_up_ = r.u64("sr.warmed_up") != 0;
   stats_ = StreamingReaderStats{};
-  stats_.polls = r.u64("sr.polls");
-  stats_.delivered = r.u64("sr.delivered");
-  stats_.missed = r.u64("sr.missed");
-  stats_.skipped = r.u64("sr.skipped");
-  stats_.frames_scheduled = r.u64("sr.frames_scheduled");
-  stats_.frames_dropped_unpowered = r.u64("sr.frames_dropped_unpowered");
-  stats_.brownouts = r.u64("sr.brownouts");
-  stats_.fault_events_applied = r.u64("sr.fault_events_applied");
-  stats_.events_dropped = r.u64("sr.events_dropped");
-  pipeline_.load(r);
-  firmware_.load(r);
-  supervisor_.load(r);
-  telemetry().load_node(store_node(), r);
+  envelope().decode(payload, [this](dsp::ser::Reader& r) {
+    fields(*this, r);
+    telemetry().load_node(store_node(), r);
+  });
 }
 
 }  // namespace ecocap::reader

@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "dsp/serialize.hpp"
 #include "fleet/telemetry_store.hpp"
 #include "node/firmware.hpp"
 #include "node/sensors.hpp"
@@ -141,6 +142,9 @@ class StreamingReader {
   fleet::TelemetryStore& telemetry() {
     return config_.shared_store ? *config_.shared_store : telemetry_;
   }
+  const fleet::TelemetryStore& telemetry() const {
+    return config_.shared_store ? *config_.shared_store : telemetry_;
+  }
   /// The node index this reader writes within `telemetry()`.
   std::size_t store_node() const {
     return config_.shared_store ? config_.store_node : 0;
@@ -151,6 +155,10 @@ class StreamingReader {
   const StreamingReaderConfig& config() const { return config_; }
 
  private:
+  /// Header + config fingerprint every checkpoint of this reader carries.
+  dsp::ser::Checkpoint envelope() const;
+  template <class Self, class Ar>
+  static void fields(Self& self, Ar& a);
   /// One command -> uplink-frame exchange: schedule the emission and its
   /// capture window, advance the stream past the window, decode. Returns
   /// the decoded payload bits when valid.

@@ -15,6 +15,7 @@
 #include <sstream>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "core/workspace_pool.hpp"
 #include "dsp/serialize.hpp"
@@ -81,6 +82,126 @@ TEST(Serialize, WriterReaderRoundTripAndStrictness) {
     trunc.str("name");
     trunc.real_vec("vec");
   }, std::runtime_error);
+}
+
+/// A field list shaped like the library's: one template both directions run.
+struct Sample {
+  int i = 0;
+  std::uint16_t u16 = 0;
+  std::uint32_t u32 = 0;
+  std::uint8_t u8 = 0;
+  bool flag = false;
+  std::uint64_t u64 = 0;
+  dsp::Real x = 0.0;
+  std::vector<std::uint64_t> words;
+  std::map<std::uint16_t, dsp::Real> by_node;
+
+  template <class Self, class Ar>
+  static void fields(Self& self, Ar& a) {
+    a.field("i", self.i);
+    a.field("u16", self.u16);
+    a.field("u32", self.u32);
+    a.field("u8", self.u8);
+    a.field("flag", self.flag);
+    a.field("u64", self.u64);
+    a.field("x", self.x);
+    a.field("words", self.words);
+    a.seq("nodes", self.by_node, [&](auto& node) {
+      a.field("node", node.first);
+      a.field("value", node.second);
+    });
+  }
+};
+
+TEST(Serialize, OneFieldListRoundTripsEveryType) {
+  Sample s;
+  s.i = -123456;
+  s.u16 = 65535;
+  s.u32 = 4000000000u;
+  s.u8 = 200;
+  s.flag = true;
+  s.u64 = ~std::uint64_t{0};
+  s.x = -1.0 / 3.0;
+  s.words = {1, 2, 3};
+  s.by_node = {{0x100, 0.5}, {0x101, -2.0}};
+  dsp::ser::Writer w("fields v1");
+  Sample::fields(std::as_const(s), w);
+
+  Sample back;
+  back.by_node = {{7, 7.0}};  // replaced, not merged
+  dsp::ser::Reader r(w.payload(), "fields v1");
+  Sample::fields(back, r);
+  EXPECT_TRUE(r.exhausted());
+  EXPECT_EQ(back.i, s.i);
+  EXPECT_EQ(back.u16, s.u16);
+  EXPECT_EQ(back.u32, s.u32);
+  EXPECT_EQ(back.u8, s.u8);
+  EXPECT_EQ(back.flag, s.flag);
+  EXPECT_EQ(back.u64, s.u64);
+  EXPECT_EQ(back.x, s.x);
+  EXPECT_EQ(back.words, s.words);
+  EXPECT_EQ(back.by_node, s.by_node);
+}
+
+/// Loads `value` written under `key` into a T; the error must name the key.
+template <class T>
+void expect_rejected(const std::string& key, const std::string& value) {
+  dsp::ser::Writer w("narrow v1");
+  w.kv(key, value);
+  dsp::ser::Reader r(w.payload(), "narrow v1");
+  T v{};
+  try {
+    r.field(key, v);
+    ADD_FAILURE() << key << " = " << value << " loaded without error";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(key), std::string::npos) << e.what();
+  }
+}
+
+TEST(Serialize, FieldRangeChecksEveryIntegerWidth) {
+  expect_rejected<int>("stats.rounds", "2147483648");
+  expect_rejected<int>("stats.rounds", "-2147483649");
+  expect_rejected<std::uint16_t>("reading.node", "65536");
+  expect_rejected<std::uint32_t>("log.t_sec", "4294967296");
+  expect_rejected<std::uint8_t>("reading.sensor", "256");
+  expect_rejected<bool>("log.stale", "2");
+  expect_rejected<std::uint64_t>("sr.polls", "-1");
+  expect_rejected<std::uint64_t>("sr.polls", "18446744073709551616");
+  expect_rejected<std::int64_t>("s.anomalies", "9223372036854775808");
+
+  // Enumerators are checked against their declared range.
+  dsp::ser::Writer w("narrow v1");
+  w.i64("report.health", 6);
+  dsp::ser::Reader r(w.payload(), "narrow v1");
+  shm::HealthLevel h{};
+  EXPECT_THROW(r.field("report.health", h, shm::HealthLevel::kA,
+                       shm::HealthLevel::kF),
+               std::runtime_error);
+}
+
+TEST(Serialize, CheckpointEnvelopeChecksFingerprintAndConsumption) {
+  std::uint64_t seed = 7;
+  const dsp::ser::Checkpoint envelope(
+      "envelope-test v1",
+      [&](dsp::ser::Writer& w) { w.field("config.seed", seed); });
+  std::uint64_t cursor = 41;
+  const auto body = [&](auto& a) { a.field("cursor", cursor); };
+  const std::string payload = envelope.encode(body);
+  EXPECT_EQ(payload, "envelope-test v1\nconfig.seed 7\ncursor 41\n");
+
+  cursor = 0;
+  envelope.decode(payload, body);
+  EXPECT_EQ(cursor, 41u);
+
+  EXPECT_THROW(envelope.decode(payload + "extra 1\n", body),
+               std::runtime_error);
+  seed = 8;  // the live config drifted: the fingerprint no longer matches
+  EXPECT_THROW(envelope.decode(payload, body), std::runtime_error);
+
+  EXPECT_THROW(dsp::ser::Checkpoint::read("no/such/checkpoint.ckpt"),
+               std::runtime_error);
+  EXPECT_THROW(dsp::ser::Checkpoint::write("no/such/dir/x.ckpt", payload),
+               std::runtime_error);
 }
 
 TEST(Serialize, AtomicWriteLeavesNoTempBehind) {
@@ -263,9 +384,14 @@ TEST(CampaignCheckpoint, ResumeRejectsMissingOrMismatchedCheckpoint) {
   other.seed = 999;  // different campaign: the checkpoint must be rejected
   EXPECT_THROW(shm::MonitoringCampaign(other).resume(), std::runtime_error);
 
-  // Corrupt file: truncate it mid-record.
+  // Trailing record after a complete checkpoint.
   const auto content = dsp::ser::read_file(cp);
   ASSERT_TRUE(content.has_value());
+  ASSERT_TRUE(dsp::ser::atomic_write_file(cp, *content + "campaign.extra 1\n"));
+  shm::MonitoringCampaign::Config trailing = small_campaign(cp);
+  EXPECT_THROW(shm::MonitoringCampaign(trailing).resume(), std::runtime_error);
+
+  // Corrupt file: truncate it mid-record.
   ASSERT_TRUE(
       dsp::ser::atomic_write_file(cp, content->substr(0, content->size() / 3)));
   shm::MonitoringCampaign::Config again = small_campaign(cp);

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "core/thread_pool.hpp"
+#include "dsp/serialize.hpp"
 #include "fleet/fleet_engine.hpp"
 #include "fleet/telemetry_store.hpp"
 
@@ -268,6 +269,16 @@ TEST_F(FleetCheckpointTest, ResumeRejectsDifferentConfig) {
   other.seed = cfg.seed + 1;
   FleetEngine resumed(other, pool);
   EXPECT_THROW(resumed.resume(), std::runtime_error);
+
+  // Same config, but a record trails the shard's checkpoint.
+  const std::string shard = (dir_ / "fleet_shard_0.ckpt").string();
+  const auto content = dsp::ser::read_file(shard);
+  ASSERT_TRUE(content.has_value());
+  ASSERT_TRUE(dsp::ser::atomic_write_file(shard, *content + "s.extra 1\n"));
+  auto same = cfg;
+  same.stop_after_structures = 0;
+  FleetEngine trailing(same, pool);
+  EXPECT_THROW(trailing.resume(), std::runtime_error);
 }
 
 TEST_F(FleetCheckpointTest, ResumeWithoutCheckpointDirThrows) {

@@ -13,9 +13,12 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
+#include <fstream>
 #include <limits>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/spsc_ring.hpp"
@@ -292,6 +295,47 @@ TEST(StreamingReaderCheckpoint, RejectsFingerprintMismatch) {
 
   ecocap::reader::StreamingReader d(config);
   EXPECT_THROW(d.resume("garbage"), std::runtime_error);
+
+  // A record past the end of the checkpoint is rejected too.
+  ecocap::reader::StreamingReader e(config);
+  EXPECT_THROW(e.resume(ckpt + "sr.extra 1\n"), std::runtime_error);
+}
+
+/// `payload` with the first `key` record's value replaced by `value`.
+std::string with_value(std::string payload, const std::string& key,
+                       const std::string& value) {
+  const std::size_t at = payload.find("\n" + key + " ");
+  EXPECT_NE(at, std::string::npos) << "no record " << key;
+  if (at == std::string::npos) return payload;
+  const std::size_t end = payload.find('\n', at + 1);
+  payload.replace(at + 1, end - at - 1, key + " " + value);
+  return payload;
+}
+
+// A hand-edited value the field's type cannot hold is rejected, not
+// wrapped — one edit per integer width the daemon checkpoint carries.
+TEST(StreamingReaderCheckpoint, RejectsOutOfRangeIntegers) {
+  const auto config = fast_daemon_config(false);
+  ecocap::reader::StreamingReader a(config);
+  a.run_polls(1);
+  const std::string ckpt = a.checkpoint();
+
+  const std::vector<std::pair<std::string, std::string>> edits{
+      {"sr.polls", "-1"},              // u64
+      {"sr.warmed_up", "2"},           // bool
+      {"fw.rn16", "65536"},            // u16
+      {"inj.bursts", "2147483648"},    // int
+  };
+  for (const auto& [key, value] : edits) {
+    ecocap::reader::StreamingReader b(config);
+    try {
+      b.resume(with_value(ckpt, key, value));
+      ADD_FAILURE() << key << " = " << value << " resumed without error";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(key), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -459,6 +503,56 @@ TEST(DaemonSupervisor, DropOldestAccountsEveryLostEventExactly) {
       << "a paused collector can only receive what the tiny ring retained";
   EXPECT_EQ(d.reader.events_dropped, d.events_dropped)
       << "drops surface in the (checkpointed) reader stats";
+}
+
+// A checkpoint mirror that cannot be written is counted, not thrown: the
+// in-memory checkpoint still drives recovery and the run completes.
+TEST(DaemonSupervisor, CountsFailedCheckpointMirrorWrites) {
+  constexpr std::uint64_t kPolls = 8;
+  const std::string not_a_dir =
+      ::testing::TempDir() + "ecocap_ckpt_dir_is_a_file";
+  std::ofstream(not_a_dir) << "regular file\n";
+
+  auto config = fleet_config(1, kPolls);
+  config.checkpoint_dir = not_a_dir;
+  ecocap::runtime::DaemonSupervisor supervisor(config);
+  const auto stats = supervisor.run();
+  const auto& d = stats.daemons[0];
+  EXPECT_EQ(d.polls_done, kPolls);
+  EXPECT_GT(d.checkpoints, 0u);
+  EXPECT_EQ(d.checkpoint_write_failures, d.checkpoints);
+  std::remove(not_a_dir.c_str());
+}
+
+// The mirrored daemon_<i>.ckpt file is a complete checkpoint: a fresh
+// reader resumes from it, and both it and a standalone reader run to the
+// same poll re-encode exactly the mirrored bytes.
+TEST(DaemonSupervisor, MirroredCheckpointFileResumesAFreshReader) {
+  constexpr std::uint64_t kPolls = 8;
+  const std::filesystem::path dir =
+      std::filesystem::path(::testing::TempDir()) / "ecocap_ckpt_mirror";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+
+  auto config = fleet_config(1, kPolls);
+  config.checkpoint_dir = dir.string();
+  ecocap::runtime::DaemonSupervisor supervisor(config);
+  const auto stats = supervisor.run();
+  ASSERT_GT(stats.daemons[0].checkpoints, 0u);
+  EXPECT_EQ(stats.daemons[0].checkpoint_write_failures, 0u);
+
+  const auto mirrored =
+      ecocap::dsp::ser::read_file((dir / "daemon_0.ckpt").string());
+  ASSERT_TRUE(mirrored.has_value());
+  ecocap::reader::StreamingReader fresh(config.daemons[0]);
+  fresh.resume(*mirrored);
+  EXPECT_EQ(fresh.polls_done(), kPolls);
+  EXPECT_EQ(fresh.checkpoint(), *mirrored);
+
+  ecocap::reader::StreamingReader standalone(config.daemons[0]);
+  standalone.run_polls(fresh.polls_done());
+  EXPECT_EQ(standalone.checkpoint(), *mirrored);
+  std::filesystem::remove_all(dir);
 }
 
 TEST(DaemonSupervisor, ValidatesConfig) {

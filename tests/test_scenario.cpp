@@ -24,6 +24,7 @@
 
 #include "channel/snr_models.hpp"
 #include "channel/structures.hpp"
+#include "dsp/serialize.hpp"
 #include "fault/fault.hpp"
 #include "scenario/engine.hpp"
 #include "scenario/script.hpp"
@@ -332,6 +333,14 @@ TEST(ScenarioResume, RejectsCheckpointFromDifferentScript) {
   RunControl resume_control;
   resume_control.checkpoint_path = control.checkpoint_path;
   EXPECT_THROW(ScenarioEngine(other, resume_control).resume(),
+               std::runtime_error);
+
+  // The right script, but a record trails the checkpoint.
+  const auto content = dsp::ser::read_file(control.checkpoint_path);
+  ASSERT_TRUE(content.has_value());
+  ASSERT_TRUE(dsp::ser::atomic_write_file(control.checkpoint_path,
+                                          *content + "multi.extra 1\n"));
+  EXPECT_THROW(ScenarioEngine(script, resume_control).resume(),
                std::runtime_error);
   std::remove(control.checkpoint_path.c_str());
 }
