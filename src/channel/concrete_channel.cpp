@@ -117,70 +117,19 @@ std::vector<wave::Tap> ConcreteChannel::compute_mode_taps() const {
   return taps;
 }
 
-void ConcreteChannel::apply_taps(std::span<const Real> x,
-                                 const std::vector<wave::Tap>& taps,
-                                 Signal& out) const {
-  out.assign(x.size(), 0.0);
-  if (taps.empty()) return;
-  const Real base_delay =
-      config_->preserve_absolute_delay ? 0.0 : taps.front().delay;
-  for (const auto& t : taps) {
-    const auto shift = static_cast<std::size_t>(
-        std::llround((t.delay - base_delay) * config_->fs));
-    for (std::size_t i = shift; i < out.size(); ++i) {
-      out[i] += t.amplitude * x[i - shift];
-    }
-  }
-}
-
-void ConcreteChannel::apply_resonance_inplace(Signal& x) const {
-  dsp::Biquad bp = resonator_->prototype;  // zero-state copy
-  const Real g0 = resonator_->peak_gain;
+void ConcreteChannel::resonate(dsp::Biquad& state, Signal& x) const {
   // Direct-form-I reads the input sample before writing the output slot, so
-  // filtering in place is sample-for-sample identical to a fresh buffer.
-  bp.process(std::span<const Real>(x), x);
+  // filtering in place is sample-for-sample identical to a fresh buffer, and
+  // the carried state makes block splits invisible.
+  state.process(std::span<const Real>(x), x);
+  const Real g0 = resonator_->peak_gain;
   if (g0 > 0.0) dsp::scale(x, 1.0 / g0);
 }
 
 void ConcreteChannel::downlink(std::span<const Real> tx_acoustic,
                                dsp::Rng& rng, Signal& out) const {
-  apply_taps(tx_acoustic, mode_taps(), out);
-  apply_resonance_inplace(out);
-  dsp::add_awgn(out, config_->noise_sigma, rng);
-}
-
-void ConcreteChannel::propagate_uplink(std::span<const Real> node_emission,
-                                       Signal& out) const {
-  // The uplink path carries only the S-reflections back (the node radiates
-  // from inside the bulk; the prism mode split does not apply).
-  const Real gain = path_gain();
-  if (config_->preserve_absolute_delay) {
-    const Real cs = structure_->material.cs > 0.0 ? structure_->material.cs
-                                                  : structure_->material.cp;
-    const auto shift = static_cast<std::size_t>(
-        std::llround(config_->distance / cs * config_->fs));
-    out.assign(node_emission.size() + shift, 0.0);
-    for (std::size_t i = 0; i < node_emission.size(); ++i) {
-      out[i + shift] = node_emission[i];
-    }
-  } else {
-    out.assign(node_emission.begin(), node_emission.end());
-  }
-  dsp::scale(out, gain);
-  apply_resonance_inplace(out);
-}
-
-void ConcreteChannel::add_uplink_si_noise(Signal& out, Real carrier_frequency,
-                                          Real si_amplitude,
-                                          dsp::Rng& rng) const {
-  dsp::Oscillator cw(config_->fs, carrier_frequency);
-  // A random starting phase decorrelates SI from the carrier snapshot the
-  // node reflected.
-  cw.reset_phase(rng.uniform(0.0, 2.0 * dsp::kPi));
-  for (Real& v : out) {
-    v += cw.next(si_amplitude);
-  }
-  dsp::add_awgn(out, config_->noise_sigma, rng);
+  out.assign(tx_acoustic.begin(), tx_acoustic.end());
+  DownlinkStream(*this).push_block(out, rng);
 }
 
 Real ConcreteChannel::uplink_si_amplitude(Real propagated_rms) const {
@@ -190,26 +139,28 @@ Real ConcreteChannel::uplink_si_amplitude(Real propagated_rms) const {
 void ConcreteChannel::uplink(std::span<const Real> node_emission,
                              Real carrier_frequency, dsp::Rng& rng,
                              Signal& out) const {
-  propagate_uplink(node_emission, out);
+  // Ranging keeps the absolute one-way S flight time: the emission reaches
+  // the reader after that many samples of silence.
+  std::size_t shift = 0;
+  if (config_->preserve_absolute_delay) {
+    const Real cs = structure_->material.cs > 0.0 ? structure_->material.cs
+                                                  : structure_->material.cp;
+    shift = static_cast<std::size_t>(
+        std::llround(config_->distance / cs * config_->fs));
+  }
+  out.assign(shift, 0.0);
+  out.insert(out.end(), node_emission.begin(), node_emission.end());
+  UplinkStream stream(*this, carrier_frequency, rng);
+  stream.propagate(out);
   // Self-interference: the CBW leaks into the receiving PZT at an amplitude
   // config_->self_interference_gain times the *backscatter* amplitude (§3.4:
   // "10x stronger than the backscattered signals").
-  add_uplink_si_noise(out, carrier_frequency, uplink_si_amplitude(dsp::rms(out)),
-                      rng);
+  stream.add_si_noise(out, uplink_si_amplitude(dsp::rms(out)), rng);
 }
 
-void ConcreteChannel::uplink(std::span<const Real> node_emission,
-                             Real carrier_frequency, Real si_amplitude,
-                             dsp::Rng& rng, Signal& out) const {
-  propagate_uplink(node_emission, out);
-  add_uplink_si_noise(out, carrier_frequency, si_amplitude, rng);
-}
-
-ConcreteChannel::DownlinkStream::DownlinkStream(const ConcreteChannel& channel,
-                                                std::uint64_t noise_seed)
+ConcreteChannel::DownlinkStream::DownlinkStream(const ConcreteChannel& channel)
     : channel_(&channel),
-      resonator_(channel.resonator_->prototype),  // zero-state copy
-      rng_(noise_seed) {
+      resonator_(channel.resonator_->prototype) {  // zero-state copy
   const Real base_delay = channel.config().preserve_absolute_delay
                               ? 0.0
                               : channel.mode_taps().empty()
@@ -223,77 +174,57 @@ ConcreteChannel::DownlinkStream::DownlinkStream(const ConcreteChannel& channel,
     max_shift_ = std::max(max_shift_, shift);
   }
   hist_.assign(max_shift_, 0.0);
-  const Real g0 = channel.resonator_->peak_gain;
-  if (g0 > 0.0) {
-    resonance_scale_ = 1.0 / g0;
-    has_resonance_scale_ = true;
-  }
 }
 
-void ConcreteChannel::DownlinkStream::push_block(Signal& x) {
+void ConcreteChannel::DownlinkStream::push_block(Signal& x, dsp::Rng& rng) {
   const std::size_t n = x.size();
   if (n == 0) return;
-  // Tap convolution over the carried delay line. Per output index the adds
-  // happen in tap order onto a zero accumulator — the exact addition
-  // sequence apply_taps performs tap-outer, so the result is bit-identical
-  // at any block split.
+  // Tap convolution over the carried delay line, tap-outer onto a zeroed
+  // block. Tap k starts at absolute sample shifts_[k]; per output index the
+  // adds happen in tap order onto a zero accumulator, so the result is
+  // bit-identical at any block split.
   ext_.resize(max_shift_ + n);
   std::copy(hist_.begin(), hist_.end(), ext_.begin());
   std::copy(x.begin(), x.end(), ext_.begin() + static_cast<std::ptrdiff_t>(max_shift_));
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::uint64_t abs_i = pos_ + i;
-    Real acc = 0.0;
-    for (std::size_t k = 0; k < shifts_.size(); ++k) {
-      if (shifts_[k] > abs_i) continue;  // batch starts tap k at i == shift
-      acc += amps_[k] * ext_[max_shift_ + i - shifts_[k]];
-    }
-    x[i] = acc;
+  std::fill(x.begin(), x.end(), 0.0);
+  for (std::size_t k = 0; k < shifts_.size(); ++k) {
+    const std::size_t first =
+        shifts_[k] > pos_
+            ? static_cast<std::size_t>(
+                  std::min<std::uint64_t>(shifts_[k] - pos_, n))
+            : 0;
+    const Real a = amps_[k];
+    const Real* src = ext_.data() + (max_shift_ - shifts_[k]);
+    for (std::size_t i = first; i < n; ++i) x[i] += a * src[i];
   }
   if (max_shift_ > 0) {
     std::copy(ext_.end() - static_cast<std::ptrdiff_t>(max_shift_), ext_.end(),
               hist_.begin());
   }
   pos_ += n;
-  // Resonance: the same kernel invocation apply_resonance_inplace makes,
-  // but on the carried biquad — direct form I state load/store makes block
-  // splits invisible.
-  resonator_.process(std::span<const Real>(x), x);
-  if (has_resonance_scale_) dsp::scale(x, resonance_scale_);
-  dsp::add_awgn(x, channel_->config().noise_sigma, rng_);
+  channel_->resonate(resonator_, x);
+  dsp::add_awgn(x, channel_->config().noise_sigma, rng);
 }
 
 ConcreteChannel::UplinkStream::UplinkStream(const ConcreteChannel& channel,
                                             Real carrier_frequency,
-                                            Real si_amplitude,
-                                            std::uint64_t noise_seed)
+                                            dsp::Rng& rng)
     : channel_(&channel),
       gain_(channel.path_gain()),
       resonator_(channel.resonator_->prototype),  // zero-state copy
-      si_(channel.config().fs, carrier_frequency),
-      si_amplitude_(si_amplitude),
-      rng_(noise_seed) {
-  if (channel.config().preserve_absolute_delay) {
-    throw std::invalid_argument(
-        "UplinkStream: preserve_absolute_delay is a batch-only feature — a "
-        "live stream schedules the emission later instead of padding it");
-  }
-  const Real g0 = channel.resonator_->peak_gain;
-  if (g0 > 0.0) {
-    resonance_scale_ = 1.0 / g0;
-    has_resonance_scale_ = true;
-  }
-  // Matches the batch draw order: the SI phase is the first draw from the
-  // uplink's RNG, before any noise gaussians.
-  si_.reset_phase(rng_.uniform(0.0, 2.0 * dsp::kPi));
+      si_(channel.config().fs, carrier_frequency) {
+  si_.reset_phase(rng.uniform(0.0, 2.0 * dsp::kPi));
 }
 
-void ConcreteChannel::UplinkStream::push_block(Signal& x) {
-  if (x.empty()) return;
+void ConcreteChannel::UplinkStream::propagate(Signal& x) {
   dsp::scale(x, gain_);
-  resonator_.process(std::span<const Real>(x), x);
-  if (has_resonance_scale_) dsp::scale(x, resonance_scale_);
-  for (Real& v : x) v += si_.next(si_amplitude_);
-  dsp::add_awgn(x, channel_->config().noise_sigma, rng_);
+  channel_->resonate(resonator_, x);
+}
+
+void ConcreteChannel::UplinkStream::add_si_noise(Signal& x, Real si_amplitude,
+                                                 dsp::Rng& rng) {
+  for (Real& v : x) v += si_.next(si_amplitude);
+  dsp::add_awgn(x, channel_->config().noise_sigma, rng);
 }
 
 }  // namespace ecocap::channel

@@ -75,55 +75,41 @@ class ConcreteChannel {
   ///  * the concrete/PZT band resonance ("FSK in, OOK out" physics),
   ///  * distance attenuation per the structure's range law,
   ///  * additive Gaussian acoustic noise.
-  /// `out` must not alias `tx_acoustic`.
+  /// This is one block of a fresh DownlinkStream. `out` must not alias
+  /// `tx_acoustic`.
   void downlink(std::span<const Real> tx_acoustic, dsp::Rng& rng,
                 Signal& out) const;
 
   /// Propagate the node's backscatter emission to the reader RX into a
-  /// caller-provided buffer, adding the CBW self-interference at an
-  /// amplitude derived from the propagated backscatter RMS (§3.4's "10x
-  /// stronger"). `out` must not alias `node_emission`.
+  /// caller-provided buffer, adding the CBW self-interference at
+  /// `uplink_si_amplitude(rms)` of the propagated backscatter (§3.4's "10x
+  /// stronger"). This is one block of a fresh UplinkStream; with
+  /// `preserve_absolute_delay` the one-way S flight is prepended as
+  /// silence. `out` must not alias `node_emission`.
   /// @param carrier_frequency frequency of the CBW for SI synthesis
   void uplink(std::span<const Real> node_emission, Real carrier_frequency,
               dsp::Rng& rng, Signal& out) const;
 
-  /// Uplink with an explicitly chosen self-interference amplitude instead
-  /// of the RMS-derived one. This is the form the streaming pipeline uses:
-  /// a live reader knows its own CBW drive level up front, whereas the RMS
-  /// derivation needs the whole emission in hand. Passing
-  /// `self_interference_gain * rms(propagated emission) * sqrt(2)` (see
-  /// `uplink_si_amplitude`) reproduces the RMS-derived overload exactly.
-  void uplink(std::span<const Real> node_emission, Real carrier_frequency,
-              Real si_amplitude, dsp::Rng& rng, Signal& out) const;
-
-  /// The SI amplitude the RMS-derived uplink would use for an emission
-  /// whose *propagated* (post path-gain, post resonance) waveform has the
-  /// given RMS.
+  /// The SI amplitude the uplink uses for an emission whose *propagated*
+  /// (post path-gain, post resonance) waveform has the given RMS.
   Real uplink_si_amplitude(Real propagated_rms) const;
 
-  /// Streaming downlink: the same tap convolution → resonator → AWGN chain
-  /// as the batch `downlink`, restaged as a block processor with explicit
-  /// carried state (tap delay line, biquad state, noise RNG). Feeding a
-  /// waveform through `push_block` in pieces of any size produces exactly
-  /// the bytes the batch call produces on the concatenation, because every
-  /// element is a per-sample recurrence over carried state.
+  /// The downlink as a block processor over carried state (tap delay line,
+  /// biquad state, position). Feeding a waveform through `push_block` in
+  /// pieces of any size produces exactly the bytes one push of the whole
+  /// waveform produces, because every element is a per-sample recurrence
+  /// over carried state and the noise draws continue the caller's RNG.
   class DownlinkStream {
    public:
     /// @param channel must outlive the stream
-    /// @param noise_seed seed of the stream's private AWGN draw sequence;
-    ///        matching a batch call requires seeding a fresh Rng equally
-    DownlinkStream(const ConcreteChannel& channel, std::uint64_t noise_seed);
+    explicit DownlinkStream(const ConcreteChannel& channel);
 
     /// Transform one block in place: x is the tx acoustic waveform on
-    /// entry, the at-node waveform on exit.
-    void push_block(Signal& x);
+    /// entry, the at-node waveform on exit. The AWGN draws come from `rng`.
+    void push_block(Signal& x, dsp::Rng& rng);
 
-    /// Absolute sample index of the next sample to be pushed.
-    std::uint64_t position() const { return pos_; }
-
-    /// Bit-exact carried-state round trip (tap delay line, biquad state,
-    /// noise RNG, position); the tap geometry is config, recomputed at
-    /// construction.
+    /// Bit-exact carried-state round trip (position, tap delay line, biquad
+    /// state); the tap geometry is config, recomputed at construction.
     template <class Self, class Ar>
     static void fields(Self& self, Ar& a) {
       a.field("dls.pos", self.pos_);
@@ -133,7 +119,6 @@ class ConcreteChannel {
             "checkpoint: downlink tap delay line length mismatch");
       }
       a.object(self.resonator_);
-      a.field("dls.rng", self.rng_);
     }
 
    private:
@@ -144,47 +129,49 @@ class ConcreteChannel {
     Signal hist_;  // last max_shift_ raw inputs (the tap delay line)
     Signal ext_;   // scratch: hist_ ++ current block
     dsp::Biquad resonator_;
-    Real resonance_scale_ = 1.0;
-    bool has_resonance_scale_ = false;
-    dsp::Rng rng_;
     std::uint64_t pos_ = 0;
   };
 
-  /// Streaming uplink with an explicit SI amplitude (see the explicit-SI
-  /// batch overload above for why streaming fixes the amplitude up front).
-  /// Carried state: biquad, SI oscillator phase, noise RNG. Not available
-  /// when `preserve_absolute_delay` is set (the shift-padding prepends
-  /// silence, which a live stream models as scheduling, not padding) —
-  /// the constructor throws.
+  /// The uplink as a block processor over carried state (biquad, SI
+  /// oscillator phase). The SI amplitude is a per-push argument: a live
+  /// reader fixes it up front from its CBW drive level, the batch uplink
+  /// derives it from the propagated RMS between the two halves.
   class UplinkStream {
    public:
+    /// Draws the SI starting phase from `rng`: the uplink's first draw,
+    /// before any noise. A random phase decorrelates the SI from the
+    /// carrier snapshot the node reflected.
     UplinkStream(const ConcreteChannel& channel, Real carrier_frequency,
-                 Real si_amplitude, std::uint64_t noise_seed);
+                 dsp::Rng& rng);
 
     /// Transform one block in place: x is the node emission on entry, the
     /// at-reader waveform on exit.
-    void push_block(Signal& x);
+    void push_block(Signal& x, Real si_amplitude, dsp::Rng& rng) {
+      propagate(x);
+      add_si_noise(x, si_amplitude, rng);
+    }
 
-    /// Bit-exact carried-state round trip (biquad, SI oscillator phase,
-    /// noise RNG).
+    /// The deterministic half: path gain, then resonance. The uplink path
+    /// carries only the S-reflections back (the node radiates from inside
+    /// the bulk; the prism mode split does not apply).
+    void propagate(Signal& x);
+    /// The stochastic half: SI carrier at `si_amplitude`, then AWGN.
+    void add_si_noise(Signal& x, Real si_amplitude, dsp::Rng& rng);
+
+    /// Bit-exact carried-state round trip (biquad, SI oscillator phase).
     template <class Self, class Ar>
     static void fields(Self& self, Ar& a) {
       a.object(self.resonator_);
       Real si_phase = self.si_.phase();
       a.field("uls.si_phase", si_phase);
       if constexpr (Ar::kLoading) self.si_.reset_phase(si_phase);
-      a.field("uls.rng", self.rng_);
     }
 
    private:
     const ConcreteChannel* channel_;
     Real gain_;
     dsp::Biquad resonator_;
-    Real resonance_scale_ = 1.0;
-    bool has_resonance_scale_ = false;
     dsp::Oscillator si_;
-    Real si_amplitude_;
-    dsp::Rng rng_;
   };
 
   /// Amplitude scale of the direct path at the configured distance (the
@@ -206,23 +193,18 @@ class ConcreteChannel {
   const ChannelConfig& config() const { return *config_; }
 
  private:
-  void apply_taps(std::span<const Real> x, const std::vector<wave::Tap>& taps,
-                  Signal& out) const;
-  void apply_resonance_inplace(Signal& x) const;
-  /// Shift/copy + path gain + resonance; the deterministic half of uplink.
-  void propagate_uplink(std::span<const Real> node_emission,
-                        Signal& out) const;
-  /// The stochastic half: SI carrier at the given amplitude, then AWGN.
-  void add_uplink_si_noise(Signal& out, Real carrier_frequency,
-                           Real si_amplitude, dsp::Rng& rng) const;
+  /// Filter `x` in place through the band resonator whose carried state is
+  /// `state` (a copy of the zero-state prototype), normalised to unit peak
+  /// gain.
+  void resonate(dsp::Biquad& state, Signal& x) const;
   std::vector<wave::Tap> compute_mode_taps() const;
 
   std::shared_ptr<const Structure> structure_;
   std::shared_ptr<const ChannelConfig> config_;
   wave::WavePrism prism_;
   std::optional<ScattererField> scatterer_field_;
-  /// Designed once via the process-wide FilterCache; apply_resonance copies
-  /// the zero-state prototype per call instead of redesigning the biquad.
+  /// Designed once via the process-wide FilterCache; every stream copies
+  /// the zero-state prototype instead of redesigning the biquad.
   std::shared_ptr<const dsp::FilterCache::ResonatorDesign> resonator_;
   std::vector<wave::Tap> mode_taps_;
 };

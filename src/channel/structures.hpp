@@ -42,6 +42,13 @@ struct Structure {
   bool is_pool() const { return kind == StructureKind::kPool; }
 };
 
+/// Waveform-level calibration of the range law: volts at the node PZT per
+/// unit of channel output when the reader drives `tx_voltage`. The
+/// transmitter emits normalized amplitude; this maps it to node volts.
+inline Real volts_scale(const Structure& structure, Real tx_voltage) {
+  return tx_voltage / structure.coupling_voltage * 0.5;
+}
+
 /// The paper's evaluation structures (§5.1) with parameters calibrated to
 /// the Fig. 12 measurements (comments carry the anchor points).
 namespace structures {

@@ -63,6 +63,13 @@ void fm0_encode_frame(const Bits& payload, const Fm0Params& params, Real fs,
   fm0_encode(all, fs, params.bitrate, 1.0, out);
 }
 
+Real fm0_frame_seconds(std::size_t payload_bits, const Fm0Params& params,
+                       Real bitrate) {
+  return (static_cast<Real>(payload_bits) +
+          static_cast<Real>(fm0_preamble(params).size()) + 4.0) /
+         bitrate;
+}
+
 Bits fm0_decode(std::span<const Real> x, Real samples_per_bit,
                 std::size_t bit_count) {
   if (samples_per_bit < 4.0) {

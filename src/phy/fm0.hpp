@@ -41,6 +41,12 @@ Signal fm0_encode_frame(const Bits& payload, const Fm0Params& params, Real fs);
 void fm0_encode_frame(const Bits& payload, const Fm0Params& params, Real fs,
                       Signal& out);
 
+/// Air time (s) of an uplink frame of `payload_bits` at `bitrate`: the
+/// preamble of `params`, the payload and a 4-bit tail. The reader's CBW and
+/// capture window span this.
+Real fm0_frame_seconds(std::size_t payload_bits, const Fm0Params& params,
+                       Real bitrate);
+
 /// Maximum-likelihood FM0 decoder over soft bipolar samples. Implements a
 /// 2-state Viterbi (state = level entering the symbol): for each symbol and
 /// candidate (state, bit) the branch metric is the correlation of the

@@ -44,21 +44,6 @@ struct ChaosEvent {
   std::uint64_t arg = 1;
 };
 
-/// Graceful-degradation ladder under sustained event-ring overload. Rungs
-/// escalate after `trip_polls` consecutive polls that dropped events and
-/// relax after `cool_polls` clean polls:
-///   0 normal -> 1 shed (publish every other event) -> 2 coarsen (double
-///   the pipeline block size) -> 3 quarantine (publish nothing, probe back).
-/// Rung 2 changes the per-block fault draws (see
-/// StreamPipeline::set_block_size), so the ladder defaults to off and MUST
-/// stay off during determinism-checked chaos runs.
-struct DegradeConfig {
-  bool enabled = false;
-  int trip_polls = 4;
-  int cool_polls = 16;
-  std::size_t coarsen_factor = 2;
-};
-
 struct RuntimeConfig {
   /// One reader config per daemon (seeds/node ids prepared by the caller).
   /// The supervisor overrides `shared_store`/`store_node`: daemon i writes
@@ -90,7 +75,6 @@ struct RuntimeConfig {
   std::uint64_t chaos_seed = 0;
   /// Scripted chaos (precise, exactly-once; see ChaosEvent).
   std::vector<ChaosEvent> script;
-  DegradeConfig degrade;
   /// Collector-side observer, invoked on the collector thread for every
   /// drained event (demo/monitoring hook; keep it cheap).
   std::function<void(const PollEvent&)> on_event;
@@ -109,11 +93,9 @@ struct DaemonRuntimeStats {
   std::uint64_t resumed_from_checkpoint = 0;
   std::uint64_t restarted_from_scratch = 0;
   std::uint64_t events_pushed = 0;     ///< ring pushes attempted
-  std::uint64_t events_shed = 0;       ///< suppressed by the degrade ladder
   std::uint64_t events_dropped = 0;    ///< lost to ring overflow (exact)
   double recovery_latency_ms_total = 0.0;
   double recovery_latency_ms_max = 0.0;
-  int degrade_rung_max = 0;
 };
 
 struct RuntimeStats {
@@ -161,8 +143,6 @@ struct RuntimeStats {
 ///  * **Backpressure**: poll events flow over bounded SpscRings under an
 ///    explicit Overflow policy; drops are counted exactly (push() returns
 ///    the eviction count) and fed back into the checkpointed reader stats.
-///    Under sustained overload the optional degradation ladder sheds,
-///    coarsens, then quarantines (DegradeConfig).
 ///  * **Chaos**: scripted ChaosEvents fire at exact poll indices;
 ///    probabilistic chaos draws per-poll from seeded fault::Injectors.
 ///
@@ -222,10 +202,6 @@ class DaemonSupervisor {
     std::vector<ChaosEvent> script;  // this daemon's events, by at_poll
     std::size_t next_script = 0;
     bool last_delivered = false;     // set by the reader's poll hook
-    int rung = 0;
-    int dirty_polls = 0;   // consecutive polls that dropped events
-    int clean_polls = 0;
-    std::size_t base_block = 0;
     DaemonRuntimeStats stats;
 
     // Watchdog-thread-private hung-detection backoff: on an oversubscribed
@@ -248,13 +224,11 @@ class DaemonSupervisor {
   /// Reset the daemon's supervision state and launch its thread. The
   /// reader must be fully built (and resumed, on a restart) first.
   void launch(Daemon& d, std::size_t i);
-  /// One poll plus its chaos/degradation bookkeeping. Throws to crash.
+  /// One poll plus its chaos and event bookkeeping. Throws to crash.
   void poll_step(Daemon& d, std::size_t i);
   void apply_chaos(Daemon& d, std::size_t i);
   void maybe_checkpoint(Daemon& d, std::size_t i, bool force);
   void restart(Daemon& d, std::size_t i);
-  void degrade_account(Daemon& d, std::size_t dropped);
-  bool shed_this_event(Daemon& d);
 
   RuntimeConfig config_;
   fleet::TelemetryStore store_;

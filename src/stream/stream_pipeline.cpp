@@ -57,8 +57,8 @@ StreamPipeline::StreamPipeline(StreamConfig config)
                    snapshot_, &snapshot_->structure),
                std::shared_ptr<const channel::ChannelConfig>(
                    snapshot_, &snapshot_->channel)),
-      volts_scale_(snapshot_->transmitter.tx_voltage /
-                   snapshot_->structure.coupling_voltage * 0.5),
+      volts_scale_(channel::volts_scale(snapshot_->structure,
+                                        snapshot_->transmitter.tx_voltage)),
       si_amplitude_(config_.si_amplitude >= 0.0
                         ? config_.si_amplitude
                         : derive_si_amplitude(channel_, *snapshot_,
@@ -89,13 +89,6 @@ void StreamPipeline::set_fault_plan(const fault::FaultPlan& plan) {
       fault::Injector(plan, seed, kInjectorBase + 4 * epoch + 2));
   node_.set_extra_load_amps(node_.injector().cap_leak_amps());
   active_plan_ = plan;
-}
-
-void StreamPipeline::set_block_size(std::size_t block_size) {
-  if (block_size == 0) {
-    throw std::invalid_argument("StreamPipeline: block_size must be > 0");
-  }
-  config_.block_size = block_size;
 }
 
 void StreamPipeline::schedule_emission(ScheduledEmission e) {

@@ -96,13 +96,6 @@ class StreamPipeline {
     return rx_.workspace_stats();
   }
 
-  /// Change the block cadence from the next advance on. Decodes are
-  /// block-size invariant, but per-block fault *draws* are not — the
-  /// degradation ladder's coarsening step trades bit-replayability of the
-  /// fault realization for throughput, which is why the ladder is off
-  /// during determinism-checked chaos runs.
-  void set_block_size(std::size_t block_size);
-
   /// Bit-exact carried-state round trip at a quiescent point: no advance
   /// in flight, no scheduled emission/capture pending, decodes and node
   /// events drained (stage save throws otherwise). Covers every stage's

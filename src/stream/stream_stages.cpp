@@ -1,7 +1,6 @@
 #include "stream/stream_stages.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <span>
 #include <stdexcept>
 #include <utility>
@@ -28,12 +27,13 @@ void TxStage::fill_block(std::size_t n, Signal& out) {
 
 DownlinkStage::DownlinkStage(const channel::ConcreteChannel& channel,
                              Real volts_scale, std::uint64_t noise_seed)
-    : stream_(channel, noise_seed),
+    : stream_(channel),
+      rng_(noise_seed),
       volts_scale_(volts_scale),
       fs_(channel.config().fs) {}
 
 void DownlinkStage::push_block(Signal& x) {
-  stream_.push_block(x);
+  stream_.push_block(x, rng_);
   dsp::scale(x, volts_scale_);
   injector_.corrupt_waveform(x, fs_);
 }
@@ -46,14 +46,7 @@ void DownlinkStage::set_injector(fault::Injector injector) {
 
 NodeStage::NodeStage(const Config& config)
     : config_(config),
-      harvester_(config.harvester),
-      standby_load_(config.power.standby().total() /
-                    config.harvester.ldo_output),
-      chunk_(static_cast<std::size_t>(config.fs / 1000.0)) {
-  if (config.fs <= 0.0 || chunk_ == 0) {
-    throw std::invalid_argument("NodeStage: fs must give a >= 1 sample chunk");
-  }
-}
+      grid_(config.harvester, config.power, config.hra_gain, config.fs) {}
 
 void NodeStage::schedule(ScheduledEmission e) {
   if (e.start < pos_) {
@@ -88,33 +81,14 @@ void NodeStage::check_quiescent() const {
   // serializes the equivalent state.
 }
 
-void NodeStage::harvest_segment(const Real* x, std::size_t n) {
-  // The batch EcoCapsule steps the harvester once per 1 ms chunk of each
-  // receive() call. The stream has no call boundaries, so the chunk grid is
-  // anchored to the absolute sample index — any block split sees the same
-  // chunk boundaries and therefore the same harvester trajectory.
-  for (std::size_t i = 0; i < n; ++i) {
-    const Real a = std::abs(x[i]);
-    if (a > chunk_peak_) chunk_peak_ = a;
-    if (++chunk_fill_ == chunk_) {
-      const Real amp = chunk_peak_ * config_.hra_gain;
-      const Real load =
-          (harvester_.mcu_powered() ? standby_load_ : 0.0) + extra_load_;
-      harvester_.step(static_cast<Real>(chunk_fill_) / config_.fs, amp, load);
-      chunk_peak_ = 0.0;
-      chunk_fill_ = 0;
-    }
-  }
-}
-
 void NodeStage::begin_emission(std::uint64_t abs) {
   ScheduledEmission e = std::move(queue_.front());
   queue_.pop_front();
   NodeFrameEvent ev;
   ev.node_id = e.node_id;
   ev.start = abs;
-  ev.cap_voltage = harvester_.cap_voltage();
-  if (harvester_.mcu_powered()) {
+  ev.cap_voltage = cap_voltage();
+  if (powered()) {
     ev.emitted = true;
     std::uint64_t len = e.switching.size();
     if (injector_.brownout_aborts_frame()) {
@@ -152,8 +126,9 @@ void NodeStage::push_block(Signal& x) {
     const auto len = static_cast<std::size_t>(seg_end - abs);
     // Harvest reads the raw incident samples, then the reflection replaces
     // them in place. Power decisions happen in absolute order because the
-    // segment walk never crosses an emission start.
-    harvest_segment(x.data() + i, len);
+    // segment walk never crosses an emission start. The stream has no call
+    // boundaries, so unlike the batch capsule the grid is never flushed.
+    grid_.push(std::span<const Real>(x.data() + i, len));
     phy::BackscatterParams bp = config_.backscatter;
     std::span<const Real> switching;
     std::uint64_t offset = 0;
@@ -175,11 +150,19 @@ void NodeStage::push_block(Signal& x) {
 UplinkStage::UplinkStage(const channel::ConcreteChannel& channel,
                          Real carrier_frequency, Real si_amplitude,
                          std::uint64_t noise_seed)
-    : stream_(channel, carrier_frequency, si_amplitude, noise_seed),
-      fs_(channel.config().fs) {}
+    : rng_(noise_seed),
+      stream_(channel, carrier_frequency, rng_),
+      si_amplitude_(si_amplitude),
+      fs_(channel.config().fs) {
+  if (channel.config().preserve_absolute_delay) {
+    throw std::invalid_argument(
+        "UplinkStage: preserve_absolute_delay is a batch-only feature — a "
+        "live stream schedules the emission later instead of padding it");
+  }
+}
 
 void UplinkStage::push_block(Signal& x) {
-  stream_.push_block(x);
+  stream_.push_block(x, si_amplitude_, rng_);
   injector_.corrupt_waveform(x, fs_);
   injector_.clip_adc(x);
 }

@@ -10,7 +10,7 @@
 #include "dsp/types.hpp"
 #include "dsp/workspace.hpp"
 #include "fault/fault.hpp"
-#include "node/harvester.hpp"
+#include "node/harvest_grid.hpp"
 #include "node/power_model.hpp"
 #include "phy/carrier.hpp"
 #include "phy/ring_effect.hpp"
@@ -96,10 +96,11 @@ class TxStage {
   phy::RingingPzt pzt_;
 };
 
-/// Downlink stage: the channel's streaming downlink, the volts calibration
-/// the batch `LinkSimulator::faulted_downlink` applies, and the channel-layer
-/// fault injector. Faults are drawn per block on the live stream (a burst
-/// lands where the stream is *now*), unlike the batch path's per-leg draws.
+/// Downlink stage: the channel's streaming downlink on the stage's own
+/// noise stream, the volts calibration the batch
+/// `LinkSimulator::faulted_downlink` applies, and the channel-layer fault
+/// injector. Faults are drawn per block on the live stream (a burst lands
+/// where the stream is *now*), unlike the batch path's per-leg draws.
 class DownlinkStage {
  public:
   DownlinkStage(const channel::ConcreteChannel& channel, Real volts_scale,
@@ -109,24 +110,27 @@ class DownlinkStage {
   void set_injector(fault::Injector injector);
   fault::Injector& injector() { return injector_; }
 
-  /// Carried channel-stream state + injector state. The injector must be
-  /// rebuilt with the live plan (set_injector) before load.
+  /// Carried channel-stream state, noise stream + injector state. The
+  /// injector must be rebuilt with the live plan (set_injector) before load.
   template <class Self, class Ar>
   static void fields(Self& self, Ar& a) {
     a.object(self.stream_);
+    a.field("dls.rng", self.rng_);
     a.object(self.injector_);
   }
 
  private:
   channel::ConcreteChannel::DownlinkStream stream_;
+  dsp::Rng rng_;
   Real volts_scale_;
   Real fs_;
   fault::Injector injector_;
 };
 
-/// Node stage: harvests the incident stream on an absolute 1 ms grid
-/// (partial-chunk peak and fill carried across blocks, so power gating is
-/// block-size invariant) and replaces each block in place with the node's
+/// Node stage: harvests the incident stream on the capsule's 1 ms grid,
+/// anchored to the absolute sample index (partial-chunk peak and fill
+/// carried across blocks, so power gating is block-size invariant), and
+/// replaces each block in place with the node's
 /// backscatter reflection — scheduled emissions where active, the
 /// absorptive rest state everywhere else. Power is evaluated exactly at an
 /// emission's start sample; an unpowered node drops the frame, and the
@@ -151,14 +155,14 @@ class NodeStage {
 
   void push_block(Signal& x);
 
-  bool powered() const { return harvester_.mcu_powered(); }
-  Real cap_voltage() const { return harvester_.cap_voltage(); }
+  bool powered() const { return grid_.harvester().mcu_powered(); }
+  Real cap_voltage() const { return grid_.harvester().cap_voltage(); }
   std::uint64_t position() const { return pos_; }
 
   void set_injector(fault::Injector injector);
   fault::Injector& injector() { return injector_; }
   /// Parasitic cap load (A) on top of the MCU draw (the cap-leak fault).
-  void set_extra_load_amps(Real amps) { extra_load_ = amps; }
+  void set_extra_load_amps(Real amps) { grid_.set_extra_load_amps(amps); }
 
   /// Take the frame events recorded since the last drain. Only call while
   /// the pipeline is idle (between segments).
@@ -178,24 +182,16 @@ class NodeStage {
       self.check_quiescent();
     }
     a.field("ns.pos", self.pos_);
-    a.field("ns.chunk_peak", self.chunk_peak_);
-    a.field("ns.chunk_fill", self.chunk_fill_);
-    a.object(self.harvester_);
+    a.object(self.grid_);
     a.object(self.injector_);
   }
 
  private:
   void check_quiescent() const;
-  void harvest_segment(const Real* x, std::size_t n);
   void begin_emission(std::uint64_t abs);
 
   Config config_;
-  node::Harvester harvester_;
-  Real standby_load_;  // MCU standby draw / LDO rail, amps
-  Real extra_load_ = 0.0;
-  std::size_t chunk_;  // 1 ms of samples, the harvester step
-  Real chunk_peak_ = 0.0;
-  std::size_t chunk_fill_ = 0;
+  node::HarvestGrid grid_;
   std::deque<ScheduledEmission> queue_;
   struct ActiveEmission {
     ScheduledEmission e;
@@ -207,9 +203,12 @@ class NodeStage {
   std::uint64_t pos_ = 0;
 };
 
-/// Uplink stage: the channel's streaming uplink (fixed SI amplitude — a
-/// live reader knows its own CBW drive level) plus the channel-layer
-/// injector and the reader ADC clipper.
+/// Uplink stage: the channel's streaming uplink on the stage's own noise
+/// stream (fixed SI amplitude — a live reader knows its own CBW drive
+/// level) plus the channel-layer injector and the reader ADC clipper. Not
+/// available when `preserve_absolute_delay` is set (the batch uplink
+/// prepends the flight time as silence, which a live stream models as
+/// scheduling, not padding) — the constructor throws.
 class UplinkStage {
  public:
   UplinkStage(const channel::ConcreteChannel& channel, Real carrier_frequency,
@@ -219,15 +218,19 @@ class UplinkStage {
   void set_injector(fault::Injector injector);
   fault::Injector& injector() { return injector_; }
 
-  /// Carried channel-stream state + injector state (see DownlinkStage).
+  /// Carried channel-stream state, noise stream + injector state (see
+  /// DownlinkStage).
   template <class Self, class Ar>
   static void fields(Self& self, Ar& a) {
     a.object(self.stream_);
+    a.field("uls.rng", self.rng_);
     a.object(self.injector_);
   }
 
  private:
+  dsp::Rng rng_;  // declared first: the stream draws its SI phase from it
   channel::ConcreteChannel::UplinkStream stream_;
+  Real si_amplitude_;
   Real fs_;
   fault::Injector injector_;
 };

@@ -102,9 +102,7 @@ std::optional<phy::Bits> StreamingReader::exchange(const phy::Command& cmd,
   // The capture spans the emission plus the batch path's 4-bit tail.
   const std::uint64_t start = pipeline_.position();
   const dsp::Real frame_time =
-      (static_cast<dsp::Real>(frame.payload.size()) +
-       static_cast<dsp::Real>(phy::fm0_preamble(line).size()) + 4.0) /
-      tx_bitrate;
+      phy::fm0_frame_seconds(frame.payload.size(), line, tx_bitrate);
   const auto win_len =
       static_cast<std::uint64_t>(frame_time * pipeline_.fs());
   stream::CaptureWindow window;

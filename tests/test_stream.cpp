@@ -1,8 +1,8 @@
 // Streaming transceiver tests: the SPSC ring's concurrency contract, the
-// stream clock, bit-identity of the streaming channel stages against their
-// batch twins at arbitrary block splits, and the end-to-end daemon —
-// including the headline claim that the decoded stream is bit-identical at
-// any block size and in threaded vs inline mode.
+// stream clock, bit-identity of the channel streams at arbitrary block
+// splits (the batch legs are their one-block runs), and the end-to-end
+// daemon — including the headline claim that the decoded stream is
+// bit-identical at any block size and in threaded vs inline mode.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -156,7 +156,7 @@ TEST(StreamClock, AccountsSamplesAndBlocks) {
 }
 
 // ---------------------------------------------------------------------------
-// Streaming channel stages vs their batch twins
+// Channel streams at any block split
 // ---------------------------------------------------------------------------
 
 Signal test_waveform(std::size_t n, std::uint64_t seed) {
@@ -166,11 +166,10 @@ Signal test_waveform(std::size_t n, std::uint64_t seed) {
   return x;
 }
 
-// Push `x` through a fresh stream in blocks of `block` and return the
-// concatenated output.
-template <typename MakeStream>
-Signal stream_in_blocks(const Signal& x, std::size_t block, MakeStream make) {
-  auto stream = make();
+// Feed `x` to `push` in blocks of `block` and return the concatenated
+// output.
+template <typename Push>
+Signal push_in_blocks(const Signal& x, std::size_t block, Push push) {
   Signal out;
   out.reserve(x.size());
   Signal chunk;
@@ -178,10 +177,19 @@ Signal stream_in_blocks(const Signal& x, std::size_t block, MakeStream make) {
     const std::size_t n = std::min(block, x.size() - i);
     chunk.assign(x.begin() + static_cast<std::ptrdiff_t>(i),
                  x.begin() + static_cast<std::ptrdiff_t>(i + n));
-    stream.push_block(chunk);
+    push(chunk);
     out.insert(out.end(), chunk.begin(), chunk.end());
   }
   return out;
+}
+
+void expect_same_samples(const Signal& got, const Signal& ref,
+                         std::size_t block) {
+  ASSERT_EQ(got.size(), ref.size());
+  for (std::size_t i = 0; i < ref.size(); ++i) {
+    ASSERT_EQ(got[i], ref[i])
+        << "sample " << i << " differs at block size " << block;
+  }
 }
 
 TEST(DownlinkStream, BitIdenticalToBatchAtAnyBlockSize) {
@@ -195,48 +203,55 @@ TEST(DownlinkStream, BitIdenticalToBatchAtAnyBlockSize) {
   channel.downlink(x, batch_rng, ref);
 
   for (std::size_t block : {7u, 64u, 256u, 4096u, 5000u}) {
-    const Signal got = stream_in_blocks(x, block, [&] {
-      return ecocap::channel::ConcreteChannel::DownlinkStream(channel, kSeed);
-    });
-    ASSERT_EQ(got.size(), ref.size());
-    for (std::size_t i = 0; i < ref.size(); ++i) {
-      ASSERT_EQ(got[i], ref[i])
-          << "sample " << i << " differs at block size " << block;
-    }
+    ecocap::channel::ConcreteChannel::DownlinkStream stream(channel);
+    ecocap::dsp::Rng rng(kSeed);
+    const Signal got = push_in_blocks(
+        x, block, [&](Signal& b) { stream.push_block(b, rng); });
+    expect_same_samples(got, ref, block);
   }
 }
 
 TEST(UplinkStream, BitIdenticalToBatchAtAnyBlockSize) {
+  using UplinkStream = ecocap::channel::ConcreteChannel::UplinkStream;
   const auto system = ecocap::core::default_system();
   ecocap::channel::ConcreteChannel channel(system.structure, system.channel);
   const Signal x = test_waveform(5000, 43);
   const Real carrier = system.channel.concrete_resonance;
-  const Real si = 0.05;
-
   constexpr std::uint64_t kSeed = 778;
-  ecocap::dsp::Rng batch_rng(kSeed);
-  Signal ref;
-  channel.uplink(x, carrier, si, batch_rng, ref);
 
-  for (std::size_t block : {7u, 64u, 256u, 4096u, 5000u}) {
-    const Signal got = stream_in_blocks(x, block, [&] {
-      return ecocap::channel::ConcreteChannel::UplinkStream(channel, carrier,
-                                                            si, kSeed);
-    });
-    ASSERT_EQ(got.size(), ref.size());
-    for (std::size_t i = 0; i < ref.size(); ++i) {
-      ASSERT_EQ(got[i], ref[i])
-          << "sample " << i << " differs at block size " << block;
-    }
+  // One fresh stream per run at a fixed SI amplitude, fed in `block`s.
+  auto run = [&](std::size_t block, Real si) {
+    ecocap::dsp::Rng rng(kSeed);
+    UplinkStream stream(channel, carrier, rng);
+    return push_in_blocks(
+        x, block, [&](Signal& b) { stream.push_block(b, si, rng); });
+  };
+
+  const Signal ref = run(x.size(), 0.05);
+  for (std::size_t block : {7u, 64u, 256u, 4096u}) {
+    expect_same_samples(run(block, 0.05), ref, block);
   }
+
+  // The RMS-derived batch uplink is the stream at the SI amplitude of the
+  // propagated emission's RMS — the equivalence that lets the streaming
+  // pipeline fix its SI amplitude from an RMS estimate up front.
+  Signal propagated = x;
+  ecocap::dsp::Rng phase_rng(kSeed);
+  UplinkStream(channel, carrier, phase_rng).propagate(propagated);
+  ecocap::dsp::Rng batch_rng(kSeed);
+  Signal batch;
+  channel.uplink(x, carrier, batch_rng, batch);
+  expect_same_samples(
+      run(x.size(),
+          channel.uplink_si_amplitude(ecocap::dsp::rms(propagated))),
+      batch, x.size());
 }
 
 TEST(UplinkStream, RejectsPreserveAbsoluteDelay) {
   auto system = ecocap::core::default_system();
   system.channel.preserve_absolute_delay = true;
   ecocap::channel::ConcreteChannel channel(system.structure, system.channel);
-  EXPECT_THROW(ecocap::channel::ConcreteChannel::UplinkStream(channel, 230e3,
-                                                              0.05, 1),
+  EXPECT_THROW(ecocap::stream::UplinkStage(channel, 230e3, 0.05, 1),
                std::invalid_argument);
 }
 
