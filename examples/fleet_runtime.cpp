@@ -52,7 +52,7 @@ int main(int argc, char** argv) {
 
   // The operator: waits for the fleet to get going, then kills daemon 0
   // outright and wedges daemon 1's pipeline. Both injections ride the same
-  // runtime-fault machinery a chaos plan uses.
+  // machinery a chaos script uses.
   std::thread operator_thread([&supervisor] {
     std::this_thread::sleep_for(std::chrono::milliseconds(600));
     std::printf("-- operator: killing daemon 0\n");

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 
 #include "dsp/fft.hpp"
 
@@ -41,20 +40,8 @@ ComplexSignal kernel_spectrum(std::span<const Real> h, std::size_t fft_len) {
 
 }  // namespace
 
-long fft_conv_min_taps_override() {
-  const char* env = std::getenv("ECOCAP_FFT_CONV_MIN_TAPS");
-  if (!env || !*env) return -1;
-  char* end = nullptr;
-  const long v = std::strtol(env, &end, 10);
-  if (end == env || v < 0) return -1;
-  return v;
-}
-
 bool use_fft_convolution(std::size_t n, std::size_t m) {
   if (n == 0 || m == 0) return false;
-  if (const long forced = fft_conv_min_taps_override(); forced >= 0) {
-    return m >= static_cast<std::size_t>(forced);
-  }
   // Tiny kernels never win: the transform bookkeeping dominates.
   if (m <= 16 || n < 64) return false;
   const double direct_ops = 2.0 * static_cast<double>(n) * static_cast<double>(m);

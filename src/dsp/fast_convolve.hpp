@@ -19,13 +19,6 @@ namespace ecocap::dsp {
 /// real and imaginary parts of the inverse transform, so real signals cost
 /// one forward + one inverse FFT per *two* blocks.
 
-/// Tap-count threshold override from the ECOCAP_FFT_CONV_MIN_TAPS
-/// environment variable: when set to a non-negative integer, the dispatcher
-/// uses the FFT path iff the kernel has at least that many taps (0 forces
-/// FFT always, a huge value forces direct always). Returns -1 when unset or
-/// unparsable, which selects the built-in cost model.
-long fft_conv_min_taps_override();
-
 /// Cost-model dispatch: true when the overlap-save FFT path is estimated
 /// cheaper than the direct form for an x-length-n signal and m-tap kernel.
 bool use_fft_convolution(std::size_t n, std::size_t m);

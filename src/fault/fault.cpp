@@ -46,34 +46,35 @@ FaultPlan FaultPlan::seismic_shaking(Real pga) {
 }
 
 FaultPlan FaultPlan::max_of(const FaultPlan& a, const FaultPlan& b) {
+  const ChannelFaultPlan& ca = a.channel;
+  const ChannelFaultPlan& cb = b.channel;
+  // A shape field (window length, noise level, spike height) counts only
+  // from the inputs whose impairment is active: an inactive impairment's
+  // shape is a default that never fires, not a setting to compete with.
+  const auto shape = [](Real x, Real x_rate, Real y, Real y_rate) {
+    const bool x_on = x_rate > 0.0;
+    if (x_on != (y_rate > 0.0)) return x_on ? x : y;
+    return std::max(x, y);
+  };
   FaultPlan p;
-  p.channel.burst_prob = std::max(a.channel.burst_prob, b.channel.burst_prob);
-  p.channel.burst_sigma = std::max(a.channel.burst_sigma, b.channel.burst_sigma);
-  p.channel.burst_fraction =
-      std::max(a.channel.burst_fraction, b.channel.burst_fraction);
-  p.channel.dropout_prob =
-      std::max(a.channel.dropout_prob, b.channel.dropout_prob);
-  p.channel.dropout_fraction =
-      std::max(a.channel.dropout_fraction, b.channel.dropout_fraction);
-  p.channel.clock_drift_ppm =
-      std::max(a.channel.clock_drift_ppm, b.channel.clock_drift_ppm);
-  p.channel.spike_rate_hz =
-      std::max(a.channel.spike_rate_hz, b.channel.spike_rate_hz);
-  p.channel.spike_amplitude =
-      std::max(a.channel.spike_amplitude, b.channel.spike_amplitude);
+  ChannelFaultPlan& c = p.channel;
+  c.burst_prob = std::max(ca.burst_prob, cb.burst_prob);
+  c.burst_sigma =
+      shape(ca.burst_sigma, ca.burst_prob, cb.burst_sigma, cb.burst_prob);
+  c.burst_fraction =
+      shape(ca.burst_fraction, ca.burst_prob, cb.burst_fraction, cb.burst_prob);
+  c.dropout_prob = std::max(ca.dropout_prob, cb.dropout_prob);
+  c.dropout_fraction = shape(ca.dropout_fraction, ca.dropout_prob,
+                             cb.dropout_fraction, cb.dropout_prob);
+  c.clock_drift_ppm = std::max(ca.clock_drift_ppm, cb.clock_drift_ppm);
+  c.spike_rate_hz = std::max(ca.spike_rate_hz, cb.spike_rate_hz);
+  c.spike_amplitude = shape(ca.spike_amplitude, ca.spike_rate_hz,
+                            cb.spike_amplitude, cb.spike_rate_hz);
   p.node.brownout_prob = std::max(a.node.brownout_prob, b.node.brownout_prob);
   p.node.cap_leak_amps = std::max(a.node.cap_leak_amps, b.node.cap_leak_amps);
   p.node.bit_flip_prob = std::max(a.node.bit_flip_prob, b.node.bit_flip_prob);
   p.reader.adc_clip_level =
       std::max(a.reader.adc_clip_level, b.reader.adc_clip_level);
-  p.runtime.crash_prob = std::max(a.runtime.crash_prob, b.runtime.crash_prob);
-  p.runtime.stall_prob = std::max(a.runtime.stall_prob, b.runtime.stall_prob);
-  p.runtime.stall_polls_min =
-      std::max(a.runtime.stall_polls_min, b.runtime.stall_polls_min);
-  p.runtime.stall_polls_max =
-      std::max(a.runtime.stall_polls_max, b.runtime.stall_polls_max);
-  p.runtime.throttle_prob =
-      std::max(a.runtime.throttle_prob, b.runtime.throttle_prob);
   return p;
 }
 
@@ -183,30 +184,6 @@ bool Injector::reply_corrupted() {
   if (p <= 0.0) return false;
   const bool hit = rng_.chance(p);
   if (hit) ++counters_.replies_corrupted;
-  return hit;
-}
-
-bool Injector::runtime_crash() {
-  if (plan_.runtime.crash_prob <= 0.0) return false;
-  const bool hit = rng_.chance(plan_.runtime.crash_prob);
-  if (hit) ++counters_.crashes_injected;
-  return hit;
-}
-
-int Injector::runtime_stall_polls() {
-  const RuntimeFaultPlan& rt = plan_.runtime;
-  if (rt.stall_prob <= 0.0) return 0;
-  if (!rng_.chance(rt.stall_prob)) return 0;
-  ++counters_.stalls_injected;
-  const int lo = std::max(1, rt.stall_polls_min);
-  const int hi = std::max(lo, rt.stall_polls_max);
-  return lo + static_cast<int>(rng_.index(static_cast<std::size_t>(hi - lo + 1)));
-}
-
-bool Injector::runtime_throttled() {
-  if (plan_.runtime.throttle_prob <= 0.0) return false;
-  const bool hit = rng_.chance(plan_.runtime.throttle_prob);
-  if (hit) ++counters_.throttles_injected;
   return hit;
 }
 

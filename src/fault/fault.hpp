@@ -85,41 +85,13 @@ struct ReaderFaultPlan {
   bool empty() const { return adc_clip_level <= 0.0; }
 };
 
-/// Runtime-layer (process-level) chaos: faults that hit the *daemon*, not
-/// the waveform. One draw per hook per poll, so a chaos run is exactly as
-/// replayable as a signal-fault run — the DaemonSupervisor's per-daemon
-/// injector realizes the same crash/stall schedule on every replay of
-/// (plan, seed, daemon index).
-struct RuntimeFaultPlan {
-  /// Probability (per poll) that the daemon "crashes": its thread throws
-  /// after the poll completes, and the supervisor must restart it from its
-  /// last checkpoint.
-  Real crash_prob = 0.0;
-  /// Probability (per poll) that the pipeline stalls — the daemon goes
-  /// silent (no heartbeat, no progress) for a drawn number of polls, which
-  /// is what the watchdog's hung-daemon detection has to catch.
-  Real stall_prob = 0.0;
-  int stall_polls_min = 1;
-  int stall_polls_max = 3;
-  /// Probability (per poll) that the telemetry consumer is throttled —
-  /// the collector stops draining the daemon's event ring for one poll, so
-  /// sustained overload exercises the ring's overflow policy.
-  Real throttle_prob = 0.0;
-
-  bool empty() const {
-    return crash_prob <= 0.0 && stall_prob <= 0.0 && throttle_prob <= 0.0;
-  }
-};
-
 struct FaultPlan {
   ChannelFaultPlan channel;
   NodeFaultPlan node;
   ReaderFaultPlan reader;
-  RuntimeFaultPlan runtime;
 
   bool empty() const {
-    return channel.empty() && node.empty() && reader.empty() &&
-           runtime.empty();
+    return channel.empty() && node.empty() && reader.empty();
   }
 
   /// Canonical single-knob plan for sweeps: every impairment scales
@@ -137,7 +109,10 @@ struct FaultPlan {
 
   /// Field-wise maximum of two plans — the composition rule for
   /// overlapping scenario fault windows, where the harsher impairment of
-  /// each kind wins. max_of(p, empty) == p.
+  /// each kind wins. An impairment's shape fields (burst sigma and
+  /// fraction, dropout fraction, spike amplitude) come only from the inputs
+  /// where its rate is > 0, so max_of(p, empty) == max_of(empty, p) == p
+  /// for every impairment p activates.
   static FaultPlan max_of(const FaultPlan& a, const FaultPlan& b);
 
   /// Checkpoint round trip of the plan's full field set. A checkpoint that
@@ -157,11 +132,6 @@ struct FaultPlan {
     a.field("fp.cap_leak_amps", self.node.cap_leak_amps);
     a.field("fp.bit_flip_prob", self.node.bit_flip_prob);
     a.field("fp.adc_clip_level", self.reader.adc_clip_level);
-    a.field("fp.crash_prob", self.runtime.crash_prob);
-    a.field("fp.stall_prob", self.runtime.stall_prob);
-    a.field("fp.stall_polls_min", self.runtime.stall_polls_min);
-    a.field("fp.stall_polls_max", self.runtime.stall_polls_max);
-    a.field("fp.throttle_prob", self.runtime.throttle_prob);
   }
 };
 
@@ -191,9 +161,6 @@ class Injector {
     int clipped_samples = 0;
     int replies_lost = 0;
     int replies_corrupted = 0;
-    int crashes_injected = 0;
-    int stalls_injected = 0;
-    int throttles_injected = 0;
   };
   const Counters& counters() const { return counters_; }
 
@@ -232,19 +199,6 @@ class Injector {
   bool reply_lost();
   bool reply_corrupted();
 
-  // --- runtime layer (process-level chaos) --------------------------------
-  /// One draw per poll: should the daemon crash after this poll? The
-  /// supervisor's chaos harness turns a hit into a thrown exception inside
-  /// the daemon thread.
-  bool runtime_crash();
-
-  /// One (or two) draws per poll: 0 when the pipeline does not stall this
-  /// poll, otherwise the drawn stall length in polls.
-  int runtime_stall_polls();
-
-  /// One draw per poll: is the telemetry consumer throttled this poll?
-  bool runtime_throttled();
-
   /// Bit-exact round trip of the injector's *state* (RNG stream position,
   /// lazily drawn drift factor, realized-fault counters). The plan is
   /// config and must be re-established by the owner before load.
@@ -261,9 +215,6 @@ class Injector {
     a.field("inj.clipped", c.clipped_samples);
     a.field("inj.replies_lost", c.replies_lost);
     a.field("inj.replies_corrupted", c.replies_corrupted);
-    a.field("inj.crashes", c.crashes_injected);
-    a.field("inj.stalls", c.stalls_injected);
-    a.field("inj.throttles", c.throttles_injected);
   }
 
  private:

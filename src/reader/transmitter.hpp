@@ -57,7 +57,6 @@ class Transmitter {
 
   const TransmitterConfig& config() const { return config_; }
   void set_tx_voltage(Real volts);
-  void set_scheme(phy::DownlinkScheme scheme) { config_.scheme = scheme; }
 
  private:
   TransmitterConfig config_;

@@ -41,8 +41,7 @@ Real StreamPipeline::derive_si_amplitude(
   // a unit carrier (RMS 1/sqrt(2)) calibrated to node volts, reflected at
   // the mid backscatter gain, attenuated once more on the way back. The
   // batch path measures this RMS from the finished emission; a live reader
-  // fixes it up front from its known drive level. Tests that need exact
-  // batch parity pass an explicit amplitude instead.
+  // fixes it up front from its known drive level.
   const auto& bp = system.capsule.backscatter;
   const Real mid = 0.5 * (bp.reflective_gain + bp.absorptive_gain);
   const Real rms = volts_scale * channel.path_gain() * mid *
@@ -59,10 +58,7 @@ StreamPipeline::StreamPipeline(StreamConfig config)
                    snapshot_, &snapshot_->channel)),
       volts_scale_(channel::volts_scale(snapshot_->structure,
                                         snapshot_->transmitter.tx_voltage)),
-      si_amplitude_(config_.si_amplitude >= 0.0
-                        ? config_.si_amplitude
-                        : derive_si_amplitude(channel_, *snapshot_,
-                                              volts_scale_)),
+      si_amplitude_(derive_si_amplitude(channel_, *snapshot_, volts_scale_)),
       clock_(snapshot_->channel.fs, config_.block_size),
       tx_(snapshot_->transmitter),
       dl_(channel_, volts_scale_,

@@ -28,10 +28,6 @@ struct StreamConfig {
   /// to the inline mode because the rings preserve block order and each
   /// stage's state is private to its thread.
   bool threaded = false;
-  /// Reader-side self-interference amplitude. Negative (the default)
-  /// derives an estimate from the link budget: the propagated RMS of a
-  /// steady CW reflection at the mid backscatter gain.
-  Real si_amplitude = -1.0;
 };
 
 /// The clocked tx -> channel -> node -> rx sample-streaming pipeline.
@@ -83,6 +79,9 @@ class StreamPipeline {
   /// drift) with the same draws the batch path uses.
   fault::Injector& node_injector() { return node_.injector(); }
 
+  /// Reader-side self-interference amplitude, derived from the link budget
+  /// (the propagated RMS of a steady CW reflection at the mid backscatter
+  /// gain).
   Real si_amplitude() const { return si_amplitude_; }
   Real volts_scale() const { return volts_scale_; }
   const core::SystemConfig& system() const { return config_.system; }

@@ -14,7 +14,7 @@ namespace ecocap::reader {
 namespace {
 
 constexpr std::string_view kCheckpointHeader =
-    "ecocap-streaming-reader-checkpoint v1";
+    "ecocap-streaming-reader-checkpoint v2";
 
 fleet::TelemetryStore::Config telemetry_config(
     const StreamingReaderConfig& config) {

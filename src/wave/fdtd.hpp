@@ -41,13 +41,12 @@ class ElasticFdtd {
     /// coefficients are computed for exactly the cells it touches.
     std::size_t sponge_cells = 0;
     Real sponge_strength = 0.015;  // per-step damping at the outer edge
-    /// Split each update pass into row bands across a core::ThreadPool.
-    /// Every cell update is independent within a pass, so the fields are
-    /// bit-identical at any worker count. false forces serial stepping.
-    bool parallel = true;
-    /// Pool used when `parallel`; nullptr selects ThreadPool::shared()
-    /// (worker count from ECOCAP_THREADS / hardware_concurrency). Grids too
-    /// small to amortize the fan-out run serially either way.
+    /// Pool that splits each update pass into row bands. Every cell update
+    /// is independent within a pass, so the fields are bit-identical at any
+    /// worker count; a 1-worker pool steps serially. nullptr selects
+    /// ThreadPool::shared() (worker count from ECOCAP_THREADS /
+    /// hardware_concurrency). Grids too small to amortize the fan-out run
+    /// serially either way.
     core::ThreadPool* pool = nullptr;
   };
 

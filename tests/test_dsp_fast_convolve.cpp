@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <cmath>
-#include <cstdlib>
 #include <thread>
 #include <vector>
 
@@ -191,18 +190,8 @@ TEST(FastConvolve, StreamingFirSplitAcrossCalls) {
   EXPECT_NEAR(next_scalar, next_split, 1e-9);
 }
 
-TEST(FastConvolve, MinTapsEnvOverridesDispatch) {
-  // The override forces the FFT path at/above the given tap count and the
-  // direct path below it, regardless of the cost model.
-  ASSERT_EQ(setenv("ECOCAP_FFT_CONV_MIN_TAPS", "64", 1), 0);
-  EXPECT_FALSE(use_fft_convolution(1 << 15, 63));
-  EXPECT_TRUE(use_fft_convolution(1 << 15, 64));
-  EXPECT_TRUE(use_fft_convolution(8, 64));  // even when clearly slower
-  ASSERT_EQ(setenv("ECOCAP_FFT_CONV_MIN_TAPS", "0", 1), 0);
-  EXPECT_TRUE(use_fft_convolution(16, 1));
-  ASSERT_EQ(unsetenv("ECOCAP_FFT_CONV_MIN_TAPS"), 0);
-  EXPECT_EQ(fft_conv_min_taps_override(), -1);
-  // Cost model: big jobs go FFT, tiny kernels stay direct.
+TEST(FastConvolve, CostModelDispatch) {
+  // Big jobs go FFT, tiny kernels stay direct.
   EXPECT_TRUE(use_fft_convolution(1 << 15, 129));
   EXPECT_FALSE(use_fft_convolution(1 << 15, 3));
 }

@@ -3,8 +3,8 @@
 // poisoning, bit-exact StreamingReader checkpoint/resume, and the
 // DaemonSupervisor's chaos acceptance — scripted crashes, a stall, and a
 // slow-consumer throttle, after which the recovered fleet's telemetry is
-// byte-identical to a crash-free run. A seeded probabilistic soak rides the
-// `slow` label.
+// byte-identical to a crash-free run. A soak on a seeded random chaos
+// schedule rides the `slow` label.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "core/spsc_ring.hpp"
+#include "dsp/rng.hpp"
 #include "dsp/serialize.hpp"
 #include "fleet/telemetry_store.hpp"
 #include "runtime/daemon_supervisor.hpp"
@@ -569,23 +570,43 @@ TEST(DaemonSupervisor, ValidatesConfig) {
 }
 
 // ---------------------------------------------------------------------------
-// Seeded probabilistic chaos soak (slow label)
+// Seeded random chaos soak (slow label)
 // ---------------------------------------------------------------------------
 
-// Random crashes/stalls/throttles from the seeded runtime fault plan while
-// three daemons stream. Asserts the fleet survives (every daemon finishes),
-// the store's torn-read invariants hold under concurrent query load, drop
-// accounting stays exact, and no decode workspace buffer leaked.
+// Random crashes/stalls/throttles, drawn up front from a seeded stream into
+// the chaos script, while three daemons stream. Asserts the fleet survives
+// (every daemon finishes), the store's torn-read invariants hold under
+// concurrent query load, drop accounting stays exact, and every scheduled
+// event fired exactly once.
 TEST(DaemonSupervisorSoak, SurvivesSeededRandomChaos) {
+  constexpr std::size_t kDaemons = 3;
   constexpr std::uint64_t kPolls = 24;
-  auto config = fleet_config(3, kPolls);
-  config.chaos.crash_prob = 0.04;
-  config.chaos.stall_prob = 0.02;
-  config.chaos.stall_polls_min = 1;
-  config.chaos.stall_polls_max = 1;
-  config.chaos.throttle_prob = 0.05;
-  config.chaos_seed = 0xec0cafe;
+  auto config = fleet_config(kDaemons, kPolls);
   config.checkpoint_dir = ::testing::TempDir();
+  // Per-poll rates: crash 0.04, one-unit stall 0.02, and a collector
+  // throttle of one heartbeat timeout 0.05.
+  using Chaos = ecocap::runtime::ChaosEvent;
+  const auto throttle_ms =
+      static_cast<std::uint64_t>(config.heartbeat_timeout_ms);
+  std::uint64_t scheduled_crashes = 0, scheduled_stalls = 0,
+                scheduled_throttles = 0;
+  ecocap::dsp::Rng rng(0xec0cafe);
+  for (std::size_t d = 0; d < kDaemons; ++d) {
+    for (std::uint64_t poll = 0; poll < kPolls; ++poll) {
+      if (rng.chance(0.04)) {
+        config.script.push_back({d, poll, Chaos::Kind::kCrash, 1});
+        ++scheduled_crashes;
+      }
+      if (rng.chance(0.02)) {
+        config.script.push_back({d, poll, Chaos::Kind::kStall, 1});
+        ++scheduled_stalls;
+      }
+      if (rng.chance(0.05)) {
+        config.script.push_back({d, poll, Chaos::Kind::kThrottle, throttle_ms});
+        ++scheduled_throttles;
+      }
+    }
+  }
   config.event_ring_capacity = 8;
 
   ecocap::runtime::DaemonSupervisor supervisor(config);
@@ -599,7 +620,7 @@ TEST(DaemonSupervisorSoak, SurvivesSeededRandomChaos) {
     std::vector<ecocap::fleet::TelemetryStore::Reading> out;
     std::vector<float> scratch;
     while (!stop.load(std::memory_order_acquire)) {
-      for (std::size_t node = 0; node < 3; ++node) {
+      for (std::size_t node = 0; node < kDaemons; ++node) {
         out.clear();
         supervisor.telemetry().range(
             node, ecocap::fleet::TelemetryStore::Tier::kRaw, 0,
@@ -629,13 +650,18 @@ TEST(DaemonSupervisorSoak, SurvivesSeededRandomChaos) {
     dropped += d.events_dropped;
   }
   EXPECT_EQ(pushed, stats.events_collected + dropped);
-  // The plan is hot enough that *some* chaos fired across 3 x 24 polls
-  // (3 draws/poll at p >= 0.02 each; the seed makes this deterministic).
-  std::uint64_t chaos_seen = 0;
+  // The schedule is hot enough that *some* chaos fired across 3 x 24 polls
+  // (3 draws/poll at p >= 0.02 each; the seed makes this deterministic),
+  // and each scheduled event fired exactly once, replays included.
+  std::uint64_t crashes = 0, stalls = 0;
   for (const auto& d : stats.daemons) {
-    chaos_seen += d.crashes + d.stalls;
+    crashes += d.crashes;
+    stalls += d.stalls;
   }
-  EXPECT_GT(chaos_seen + stats.throttles, 0u);
+  EXPECT_GT(crashes + stalls + stats.throttles, 0u);
+  EXPECT_EQ(crashes, scheduled_crashes);
+  EXPECT_EQ(stalls, scheduled_stalls);
+  EXPECT_EQ(stats.throttles, scheduled_throttles);
 }
 
 }  // namespace

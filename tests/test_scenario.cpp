@@ -15,11 +15,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdio>
 #include <map>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "channel/snr_models.hpp"
@@ -205,6 +208,20 @@ TEST(ScenarioTimeline, PollFaultMergesWindowsAndShaking) {
 
 // --- fault-plan combinators -------------------------------------------------
 
+/// Every field of a plan by key, read through the plan's own field list so
+/// a field added later is compared too.
+struct PlanFieldList {
+  std::vector<std::pair<std::string, Real>> values;
+  void field(std::string_view key, Real v) { values.emplace_back(key, v); }
+};
+
+std::vector<std::pair<std::string, Real>> plan_fields(
+    const fault::FaultPlan& plan) {
+  PlanFieldList list;
+  fault::FaultPlan::fields(plan, list);
+  return list.values;
+}
+
 TEST(FaultPlanCombinators, SeismicShakingScalesAndMaxOfIsFieldwise) {
   EXPECT_TRUE(fault::FaultPlan::seismic_shaking(0.0).empty());
   const auto weak = fault::FaultPlan::seismic_shaking(0.2);
@@ -221,6 +238,35 @@ TEST(FaultPlanCombinators, SeismicShakingScalesAndMaxOfIsFieldwise) {
   const auto same = fault::FaultPlan::max_of(site, fault::FaultPlan{});
   EXPECT_EQ(same.channel.dropout_prob, site.channel.dropout_prob);
   EXPECT_EQ(same.node.cap_leak_amps, site.node.cap_leak_amps);
+
+  // Field for field, in both argument orders: the empty plan's default
+  // shapes never override an active impairment's, so a mild plan keeps its
+  // own burst noise when shaking (which has no bursts) overlaps it.
+  using fault::FaultPlan;
+  const auto shaking = FaultPlan::seismic_shaking(0.8);
+  for (const Real intensity : {0.1, 0.5}) {
+    SCOPED_TRACE(intensity);
+    const auto plan = FaultPlan::at_intensity(intensity);
+    EXPECT_EQ(plan_fields(FaultPlan::max_of(plan, FaultPlan{})),
+              plan_fields(plan));
+    EXPECT_EQ(plan_fields(FaultPlan::max_of(FaultPlan{}, plan)),
+              plan_fields(plan));
+
+    auto expected = plan;
+    auto& c = expected.channel;
+    c.dropout_prob = std::max(c.dropout_prob, shaking.channel.dropout_prob);
+    c.dropout_fraction =
+        std::max(c.dropout_fraction, shaking.channel.dropout_fraction);
+    c.spike_rate_hz = std::max(c.spike_rate_hz, shaking.channel.spike_rate_hz);
+    c.spike_amplitude =
+        std::max(c.spike_amplitude, shaking.channel.spike_amplitude);
+    expected.node.brownout_prob =
+        std::max(expected.node.brownout_prob, shaking.node.brownout_prob);
+    EXPECT_EQ(plan_fields(FaultPlan::max_of(plan, shaking)),
+              plan_fields(expected));
+    EXPECT_EQ(plan_fields(FaultPlan::max_of(shaking, plan)),
+              plan_fields(expected));
+  }
 }
 
 // --- inter-reader interference model ----------------------------------------

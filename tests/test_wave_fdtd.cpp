@@ -222,24 +222,24 @@ TEST(Fdtd, RegionFillChangesLocalSpeed) {
 
 /// Row-band parallelism must not change a single bit: every cell update
 /// within a pass is independent, so the fields can't depend on worker
-/// count. Run the same excitation serially and on a 4-worker pool and
-/// require exact equality everywhere. `quiet_steps` steps run before the
-/// burst starts so the no-forces-pending fast path is exercised on both
-/// sides, and more quiet steps follow the burst for the flag's falling
-/// edge.
+/// count. Run the same excitation on a 1-worker pool (serial stepping) and
+/// on a 4-worker pool and require exact equality everywhere. `quiet_steps`
+/// steps run before the burst starts so the no-forces-pending fast path is
+/// exercised on both sides, and more quiet steps follow the burst for the
+/// flag's falling edge.
 void expect_serial_parallel_bit_identical(std::size_t n,
                                           std::size_t sponge_cells,
                                           std::size_t steps,
                                           std::size_t quiet_steps = 0) {
+  core::ThreadPool serial_pool(1);
   core::ThreadPool pool(4);
   ElasticFdtd::Config serial_cfg;
   serial_cfg.nx = n;
   serial_cfg.ny = n;
   serial_cfg.dx = 2.0e-3;
   serial_cfg.sponge_cells = sponge_cells;
-  serial_cfg.parallel = false;
+  serial_cfg.pool = &serial_pool;
   ElasticFdtd::Config par_cfg = serial_cfg;
-  par_cfg.parallel = true;
   par_cfg.pool = &pool;
 
   ElasticFdtd serial(kMedium, serial_cfg);
