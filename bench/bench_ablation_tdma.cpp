@@ -32,7 +32,7 @@ TdmaStats run_pass(int n, std::uint8_t q, dsp::Rng& rng) {
   for (int i = 0; i < n; ++i) {
     node::FirmwareConfig fc;
     fc.node_id = static_cast<std::uint16_t>(i + 1);
-    fw.push_back(std::make_unique<node::Firmware>(fc, rng.engine()()));
+    fw.push_back(std::make_unique<node::Firmware>(fc, rng.next_u64()));
     fw.back()->power_on();
     reader::InventoriedNode in;
     in.firmware = fw.back().get();
@@ -42,7 +42,7 @@ TdmaStats run_pass(int n, std::uint8_t q, dsp::Rng& rng) {
   reader::InventoryEngine::Config cfg;
   cfg.q = q;
   cfg.max_rounds = 40;
-  reader::InventoryEngine engine(cfg, rng.engine()());
+  reader::InventoryEngine engine(cfg, rng.next_u64());
   const auto r = engine.run(nodes);
   TdmaStats s;
   s.rounds = r.stats.rounds;

@@ -1,17 +1,16 @@
 // Self-healing fleet runtime demo: a DaemonSupervisor keeps three streaming
-// reader daemons (one embedded capsule each) alive while an "operator"
-// thread kills one mid-run and stalls another. The supervisor's watchdog
-// detects the hang via missed heartbeats, the crashed daemon restarts from
-// its last checkpoint, and the campaign still finishes with every poll
-// delivered into the shared TelemetryStore — the console trace shows the
-// kill, the detection, and the recovery as they happen.
+// reader daemons (one embedded capsule each) alive while an "operator",
+// driven by the poll event stream, kills one mid-run and stalls another.
+// The supervisor's watchdog detects the hang via missed heartbeats, the
+// crashed daemon restarts from its last checkpoint, and the campaign still
+// finishes with every poll delivered into the shared TelemetryStore — the
+// console trace shows the kill, the detection, and the recovery as they
+// happen.
 //
 //   ./fleet_runtime [polls_per_daemon]
 
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <thread>
 
 #include "core/link_simulator.hpp"
 #include "runtime/daemon_supervisor.hpp"
@@ -41,31 +40,38 @@ int main(int argc, char** argv) {
   config.event_ring_capacity = 64;
   config.heartbeat_timeout_ms = 1500.0;
   config.watchdog_interval_ms = 5.0;
-  config.on_event = [](const runtime::PollEvent& ev) {
+  // The operator acts on poll progress, not on wall time, so the demo
+  // does the same thing on a fast host as on a slow one: once daemon 0
+  // reports its poll 1 it is killed outright, and once daemon 1 reports
+  // its poll 3 its pipeline is wedged. Both injections ride the same
+  // machinery a chaos script uses; each fires once (replayed polls report
+  // the same indices again).
+  runtime::DaemonSupervisor* supervisor_ptr = nullptr;
+  bool killed = false;
+  bool stalled = false;
+  config.on_event = [&](const runtime::PollEvent& ev) {
     std::printf("  [daemon %u] poll %2llu  %-9s value=%.2f t=%u s\n",
                 ev.daemon, static_cast<unsigned long long>(ev.poll),
                 ev.delivered ? "delivered" : "missed",
                 static_cast<double>(ev.value), ev.t_sec);
+    if (!killed && ev.daemon == 0 && ev.poll >= 1) {
+      killed = true;
+      std::printf("-- operator: killing daemon 0\n");
+      supervisor_ptr->inject_crash(0);
+    }
+    if (!stalled && ev.daemon == 1 && ev.poll >= 3) {
+      stalled = true;
+      std::printf("-- operator: stalling daemon 1 (watchdog must notice)\n");
+      supervisor_ptr->inject_stall(1, 2);
+    }
   };
 
   runtime::DaemonSupervisor supervisor(config);
-
-  // The operator: waits for the fleet to get going, then kills daemon 0
-  // outright and wedges daemon 1's pipeline. Both injections ride the same
-  // machinery a chaos script uses.
-  std::thread operator_thread([&supervisor] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(600));
-    std::printf("-- operator: killing daemon 0\n");
-    supervisor.inject_crash(0);
-    std::this_thread::sleep_for(std::chrono::milliseconds(400));
-    std::printf("-- operator: stalling daemon 1 (watchdog must notice)\n");
-    supervisor.inject_stall(1, 2);
-  });
+  supervisor_ptr = &supervisor;
 
   std::printf("fleet runtime: %zu daemons x %llu polls\n", kDaemons,
               static_cast<unsigned long long>(polls));
   const auto stats = supervisor.run();
-  operator_thread.join();
 
   std::printf("\n%-8s %6s %8s %8s %8s %6s %12s\n", "daemon", "polls",
               "restarts", "crashes", "kicks", "drops", "recovery-ms");

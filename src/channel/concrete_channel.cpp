@@ -223,7 +223,7 @@ void ConcreteChannel::UplinkStream::propagate(Signal& x) {
 
 void ConcreteChannel::UplinkStream::add_si_noise(Signal& x, Real si_amplitude,
                                                  dsp::Rng& rng) {
-  for (Real& v : x) v += si_.next(si_amplitude);
+  si_.add_to(x, si_amplitude);
   dsp::add_awgn(x, channel_->config().noise_sigma, rng);
 }
 

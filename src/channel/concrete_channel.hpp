@@ -158,13 +158,11 @@ class ConcreteChannel {
     /// The stochastic half: SI carrier at `si_amplitude`, then AWGN.
     void add_si_noise(Signal& x, Real si_amplitude, dsp::Rng& rng);
 
-    /// Bit-exact carried-state round trip (biquad, SI oscillator phase).
+    /// Bit-exact carried-state round trip (biquad, SI oscillator).
     template <class Self, class Ar>
     static void fields(Self& self, Ar& a) {
       a.object(self.resonator_);
-      Real si_phase = self.si_.phase();
-      a.field("uls.si_phase", si_phase);
-      if constexpr (Ar::kLoading) self.si_.reset_phase(si_phase);
+      a.object(self.si_);
     }
 
    private:

@@ -78,7 +78,7 @@ reader::InventoryResult InventorySession::collect(
   if (supervisor_) cfg.slot_budget = config_.supervisor.round_slot_budget;
   // The engine seed is drawn exactly once per pass, supervised or not, so
   // enabling supervision never shifts the session's draw sequence.
-  reader::InventoryEngine engine(cfg, rng_.engine()());
+  reader::InventoryEngine engine(cfg, rng_.next_u64());
   // Bind this pass's fault realizations to (seed, pass index). An empty
   // plan attaches nothing so the engine keeps its legacy fast path.
   fault::Injector injector(config_.fault, config_.seed, pass_++);

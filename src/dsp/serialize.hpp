@@ -20,10 +20,9 @@ namespace ecocap::dsp::ser {
 /// Every record is one `key value...` line. Reals are written as C99
 /// hexfloats ("%a"), so a save/load round trip reproduces the exact bit
 /// pattern — the property the crash-safe checkpoints need for resumed runs
-/// to stay bit-identical to uninterrupted ones. RNG engines and
-/// distributions round-trip through their standard stream operators, which
-/// preserve the mt19937_64 state vector and the normal distribution's
-/// cached spare variate.
+/// to stay bit-identical to uninterrupted ones. An Rng round-trips
+/// as its mt19937_64 state vector (the standard stream operator); its
+/// transforms keep no state of their own.
 ///
 /// The Reader is strict and sequential: records must be consumed in the
 /// order they were written, and any key mismatch, truncation, parse failure

@@ -78,7 +78,7 @@ void scale(Signal& x, Real gain) {
 }
 
 void add_awgn(Signal& x, Real sigma, Rng& rng) {
-  for (Real& v : x) v += rng.gaussian(sigma);
+  rng.add_gaussian(x, sigma);
 }
 
 Real add_awgn_snr(Signal& x, Real snr_db, Rng& rng) {

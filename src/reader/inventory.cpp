@@ -206,7 +206,7 @@ std::vector<std::uint16_t> InventoryEngine::assign_blfs(
     solo_cfg.q = 0;
     solo_cfg.max_rounds = 2;
     solo_cfg.ber_penalty_db = config_.ber_penalty_db;
-    InventoryEngine solo(solo_cfg, rng_.engine()());
+    InventoryEngine solo(solo_cfg, rng_.next_u64());
     const InventoryResult r = solo.run(single);
     if (r.inventoried_ids.empty()) continue;
     const std::uint16_t rn16 = n.firmware->current_rn16();

@@ -243,6 +243,13 @@ void DaemonSupervisor::poll_step(Daemon& d, std::size_t i) {
   maybe_checkpoint(d, i, false);
 }
 
+void DaemonSupervisor::add_workspace_stats(Daemon& d) {
+  const dsp::Workspace::Stats& ws = d.reader->pipeline().rx_workspace_stats();
+  d.stats.rx_workspace.checkouts += ws.checkouts;
+  d.stats.rx_workspace.heap_allocations += ws.heap_allocations;
+  d.stats.rx_workspace.returns += ws.returns;
+}
+
 void DaemonSupervisor::restart(Daemon& d, std::size_t i) {
   const auto t0 = Clock::now();
   if (d.thread.joinable()) d.thread.join();
@@ -258,6 +265,7 @@ void DaemonSupervisor::restart(Daemon& d, std::size_t i) {
     ++d.kick_backoff;
   }
   d.last_restart_polls = progressed;
+  add_workspace_stats(d);
 
   d.abort.store(false, std::memory_order_release);
   d.crash_request.store(false, std::memory_order_release);
@@ -387,6 +395,7 @@ RuntimeStats DaemonSupervisor::run() {
     store_.release_writer(i, writer_id(i));
     d.stats.reader = d.reader->stats();
     d.stats.polls_done = d.reader->polls_done();
+    add_workspace_stats(d);
     stats.daemons.push_back(d.stats);
   }
   stats.events_collected = events_collected_.load(std::memory_order_relaxed);

@@ -89,6 +89,11 @@ struct DaemonRuntimeStats {
   std::uint64_t events_dropped = 0;    ///< lost to ring overflow (exact)
   double recovery_latency_ms_total = 0.0;
   double recovery_latency_ms_max = 0.0;
+  /// The decode workspace's counters (StreamPipeline::rx_workspace_stats)
+  /// summed over every incarnation of the daemon, a dead one's taken when
+  /// it is torn down for restart. With no lease live at campaign end,
+  /// `returns == checkouts`: no restart leaked a buffer.
+  dsp::Workspace::Stats rx_workspace;
 };
 
 struct RuntimeStats {
@@ -221,6 +226,9 @@ class DaemonSupervisor {
   void apply_chaos(Daemon& d, std::size_t i);
   void maybe_checkpoint(Daemon& d, std::size_t i, bool force);
   void restart(Daemon& d, std::size_t i);
+  /// Fold the current incarnation's decode-workspace counters into
+  /// `d.stats.rx_workspace` (its thread must be joined).
+  static void add_workspace_stats(Daemon& d);
 
   RuntimeConfig config_;
   fleet::TelemetryStore store_;

@@ -47,7 +47,7 @@ struct RunControl {
 
 /// Header every scenario checkpoint file starts with.
 inline constexpr const char* kScenarioCheckpointHeader =
-    "ecocap-scenario-checkpoint v1";
+    "ecocap-scenario-checkpoint v2";
 
 // -- pure timeline functions ------------------------------------------------
 // These are THE scenario semantics: the runners evaluate them fresh from

@@ -18,7 +18,7 @@ namespace {
 /// Checkpoint format tag; bump the version on any schema change so stale
 /// files are rejected instead of misread (docs/benchmarks.md documents the
 /// envelope).
-constexpr const char* kCheckpointHeader = "ecocap-campaign-checkpoint v1";
+constexpr const char* kCheckpointHeader = "ecocap-campaign-checkpoint v2";
 
 void accumulate(reader::InventoryStats& into,
                 const reader::InventoryStats& s) {

@@ -17,7 +17,7 @@ TxStage::TxStage(const reader::TransmitterConfig& config)
 
 void TxStage::fill_block(std::size_t n, Signal& out) {
   // Same two per-sample recurrences the batch Transmitter::continuous_wave
-  // runs, but on carried state: the oscillator phase and PZT ring tail
+  // runs, but on carried state: the oscillator and PZT ring tail
   // continue across blocks instead of restarting every call.
   osc_.generate(n, 1.0, out);
   pzt_.drive_inplace(out);

@@ -82,12 +82,10 @@ class TxStage {
   /// Produce the next `n` samples of carrier into `out` (resized).
   void fill_block(std::size_t n, Signal& out);
 
-  /// Bit-exact carried-state round trip (oscillator phase + PZT ring tail).
+  /// Bit-exact carried-state round trip (oscillator + PZT ring tail).
   template <class Self, class Ar>
   static void fields(Self& self, Ar& a) {
-    Real phase = self.osc_.phase();
-    a.field("tx.phase", phase);
-    if constexpr (Ar::kLoading) self.osc_.reset_phase(phase);
+    a.object(self.osc_);
     a.object(self.pzt_);
   }
 

@@ -14,7 +14,7 @@ namespace ecocap::reader {
 namespace {
 
 constexpr std::string_view kCheckpointHeader =
-    "ecocap-streaming-reader-checkpoint v2";
+    "ecocap-streaming-reader-checkpoint v3";
 
 fleet::TelemetryStore::Config telemetry_config(
     const StreamingReaderConfig& config) {

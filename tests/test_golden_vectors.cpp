@@ -129,7 +129,7 @@ TEST(GoldenVectors, AblationTdma) {
         for (int i = 0; i < 10; ++i) {
           node::FirmwareConfig fc;
           fc.node_id = static_cast<std::uint16_t>(i + 1);
-          fw.push_back(std::make_unique<node::Firmware>(fc, rng.engine()()));
+          fw.push_back(std::make_unique<node::Firmware>(fc, rng.next_u64()));
           fw.back()->power_on();
           reader::InventoriedNode in;
           in.firmware = fw.back().get();
@@ -139,7 +139,7 @@ TEST(GoldenVectors, AblationTdma) {
         reader::InventoryEngine::Config cfg;
         cfg.q = 3;
         cfg.max_rounds = 40;
-        reader::InventoryEngine engine(cfg, rng.engine()());
+        reader::InventoryEngine engine(cfg, rng.next_u64());
         const auto r = engine.run(nodes);
         a.slots += r.stats.slots;
         a.collisions += r.stats.collisions;

@@ -646,6 +646,11 @@ TEST(DaemonSupervisorSoak, SurvivesSeededRandomChaos) {
     const auto& d = stats.daemons[i];
     EXPECT_EQ(d.polls_done, kPolls) << "daemon " << i << " did not finish";
     EXPECT_GT(d.reader.delivered, 0u);
+    // Crashed, stalled and restarted incarnations included, every decode
+    // buffer leased was handed back.
+    EXPECT_GT(d.rx_workspace.checkouts, 0u);
+    EXPECT_EQ(d.rx_workspace.returns, d.rx_workspace.checkouts)
+        << "daemon " << i << " leaked decode workspace buffers";
     pushed += d.events_pushed;
     dropped += d.events_dropped;
   }
