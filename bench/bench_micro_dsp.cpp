@@ -15,6 +15,7 @@
 #include <chrono>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "bench_json.hpp"
 #include "channel/concrete_channel.hpp"
@@ -547,6 +548,27 @@ void record_headline_metrics(ecocap::bench::BenchJson& json) {
     json.metric("correlate_512tmpl_32k_direct_ns", direct_ns);
     json.metric("correlate_512tmpl_32k_fft_ns", fft_ns);
     json.metric("correlate_512tmpl_32k_speedup", direct_ns / fft_ns);
+  }
+
+  // Channel noise as the stream stages add it: one 256-sample block per
+  // call on the active table (twists included, amortised), and the
+  // engine's twist alone per state word.
+  {
+    dsp::Rng rng(5);
+    dsp::Signal x(256, 0.0);
+    json.metric("awgn_256_ns_per_sample", time_ns([&] {
+                  rng.add_gaussian(x, 0.01);
+                  benchmark::DoNotOptimize(x.data());
+                  benchmark::ClobberMemory();
+                }) / 256.0);
+    std::vector<std::uint64_t> mt(dsp::detail::kMtN);
+    for (std::size_t i = 0; i < mt.size(); ++i) mt[i] = rng.next_u64();
+    const dsp::kernels::KernelTable& kt = dsp::kernels::active();
+    json.metric("mt_twist_ns_per_word", time_ns([&] {
+                  kt.mt_twist(mt.data());
+                  benchmark::DoNotOptimize(mt.data());
+                  benchmark::ClobberMemory();
+                }) / static_cast<double>(dsp::detail::kMtN));
   }
 
   // Waveform-level uplink through the cached-resonator channel.

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 
 #include "dsp/types.hpp"
 
@@ -38,6 +39,10 @@ namespace ecocap::dsp::kernels {
 ///    with precomputed decay powers) whose lane arithmetic is replicated
 ///    exactly by the scalar table — again bit-identical across tables, and
 ///    toleranced against the sequential RC recurrence.
+///  * **The random engine** (dsp::Rng's MT19937-64 twist and its Ziggurat
+///    fast path) is integer arithmetic plus one exact conversion and a
+///    separate multiply and add per sample — bit-identical across tables,
+///    and to the per-sample Rng::gaussian() loop.
 ///
 /// ## Dispatch
 ///
@@ -137,6 +142,18 @@ struct KernelTable {
   /// FDTD stencil rows (pure elementwise maps — bit-identical everywhere).
   void (*fdtd_velocity_row)(const FdtdVelocityRowArgs& a);
   void (*fdtd_stress_row)(const FdtdStressRowArgs& a);
+
+  /// MT19937-64 twist: regenerate the 312 state words in place. `mt`
+  /// needs no alignment.
+  void (*mt_twist)(std::uint64_t* mt);
+
+  /// Ziggurat fast path of dsp::Rng: for i in [0, min(avail, n)) while
+  /// the tempered word u = temper(state[i]) takes the fast accept,
+  /// x[i] += sigma * (+/-)(u >> 11) * W[u & 0xff] (sign from bit 8).
+  /// Returns how many leading samples it filled, one state word each; the
+  /// word at the returned index, if below avail and n, missed the accept.
+  std::size_t (*gaussian_fast)(const std::uint64_t* state, std::size_t avail,
+                               Real* x, std::size_t n, Real sigma);
 };
 
 /// The canonical scalar table (always available).

@@ -11,6 +11,10 @@
 #include <immintrin.h>
 
 #include "dsp/kernels/kernels_detail.hpp"
+// Only the engine's constants and the Ziggurat tables are used from here:
+// this TU calls no inline function of rng.hpp (nor std::min), so no copy
+// of one compiled with -mavx2 can be linked in place of the portable one.
+#include "dsp/rng.hpp"
 
 namespace ecocap::dsp::kernels::detail::avx2 {
 
@@ -207,6 +211,127 @@ void fdtd_stress_row(const FdtdStressRowArgs& a) {
     tail.i0 = i;
     scalar::fdtd_stress_row(tail);
   }
+}
+
+namespace {
+
+inline __m256i set1_u64(std::uint64_t v) {
+  return _mm256_set1_epi64x(static_cast<long long>(v));
+}
+
+/// One twist word per lane: far ^ (y >> 1) ^ (A if y is odd), with y the
+/// upper bits of cur and the lower bits of next.
+inline __m256i mt_words(__m256i cur, __m256i next, __m256i far) {
+  const __m256i upper =
+      _mm256_and_si256(cur, set1_u64(dsp::detail::kMtUpperMask));
+  const __m256i lower =
+      _mm256_and_si256(next, set1_u64(dsp::detail::kMtLowerMask));
+  const __m256i y = _mm256_or_si256(upper, lower);
+  // All ones where y is odd, so the matrix is xored in only there.
+  const __m256i odd = _mm256_sub_epi64(
+      _mm256_setzero_si256(), _mm256_and_si256(y, _mm256_set1_epi64x(1)));
+  const __m256i mag =
+      _mm256_and_si256(odd, set1_u64(dsp::detail::kMtMatrixA));
+  return _mm256_xor_si256(_mm256_xor_si256(far, _mm256_srli_epi64(y, 1)), mag);
+}
+
+inline __m256i loadu_u64(const std::uint64_t* p) {
+  return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
+}
+
+inline void storeu_u64(std::uint64_t* p, __m256i v) {
+  _mm256_storeu_si256(reinterpret_cast<__m256i*>(p), v);
+}
+
+/// Four words of the twist starting at i, with x[i+m] (mod n) at `far`.
+/// x[i+1 .. i+4] is loaded before x[i .. i+3] is stored, so the lane that
+/// reads x[i+4] still sees the old word, as the sequential loop does.
+inline void mt_chunk(std::uint64_t* mt, std::size_t i,
+                     const std::uint64_t* far) {
+  const __m256i cur = loadu_u64(mt + i);
+  const __m256i next = loadu_u64(mt + i + 1);
+  storeu_u64(mt + i, mt_words(cur, next, loadu_u64(far)));
+}
+
+/// dsp::detail::mt_temper on four words.
+inline __m256i mt_temper4(__m256i x) {
+  x = _mm256_xor_si256(x, _mm256_and_si256(_mm256_srli_epi64(x, 29),
+                                           set1_u64(dsp::detail::kMtTemperD)));
+  x = _mm256_xor_si256(x, _mm256_and_si256(_mm256_slli_epi64(x, 17),
+                                           set1_u64(dsp::detail::kMtTemperB)));
+  x = _mm256_xor_si256(x, _mm256_and_si256(_mm256_slli_epi64(x, 37),
+                                           set1_u64(dsp::detail::kMtTemperC)));
+  return _mm256_xor_si256(x, _mm256_srli_epi64(x, 43));
+}
+
+/// Exact double of four integers below 2^53: the low and high 32-bit
+/// halves are placed in the mantissas of 2^52 and 2^84, the two offsets
+/// are removed in one exact subtraction, and the final add is exact
+/// because the true sum fits in 53 bits.
+inline __m256d u53_to_double(__m256i m) {
+  const __m256i lo = _mm256_blend_epi32(
+      _mm256_castpd_si256(_mm256_set1_pd(0x1p52)), m, 0x55);
+  const __m256i hi = _mm256_xor_si256(
+      _mm256_srli_epi64(m, 32), _mm256_castpd_si256(_mm256_set1_pd(0x1p84)));
+  const __m256d hi_d = _mm256_sub_pd(_mm256_castsi256_pd(hi),
+                                     _mm256_set1_pd(0x1p84 + 0x1p52));
+  return _mm256_add_pd(hi_d, _mm256_castsi256_pd(lo));
+}
+
+}  // namespace
+
+void mt_twist(std::uint64_t* mt) {
+  // Same split as the scalar loop: below n-m, x[i+m] is still old; from
+  // n-m on it is x[i+m-n], already new. Words 0..155 are 39 chunks of 4
+  // and 156..307 another 38; a chunk at 308 would load x[312], so words
+  // 308..310 and the wrapping word 311 are done one at a time.
+  constexpr std::size_t n = dsp::detail::kMtN;
+  constexpr std::size_t m = dsp::detail::kMtM;
+  static_assert((n - m) % 4 == 0);
+  std::size_t i = 0;
+  for (; i < n - m; i += 4) mt_chunk(mt, i, mt + i + m);
+  for (; i + 4 < n; i += 4) mt_chunk(mt, i, mt + i + m - n);
+  for (; i < n - 1; ++i) {
+    mt[i] = scalar::mt_word(mt[i], mt[i + 1], mt[i + m - n]);
+  }
+  mt[n - 1] = scalar::mt_word(mt[n - 1], mt[0], mt[m - 1]);
+}
+
+std::size_t gaussian_fast(const std::uint64_t* state, std::size_t avail,
+                          Real* x, std::size_t n, Real sigma) {
+  const std::size_t len = avail < n ? avail : n;
+  const __m256i layer_mask = _mm256_set1_epi64x(0xff);
+  const __m256i sign_bit = _mm256_set1_epi64x(0x100);
+  const __m256d sigma_v = _mm256_set1_pd(sigma);
+  const auto* k_table = reinterpret_cast<const long long*>(dsp::detail::kZigK);
+  std::size_t i = 0;
+  for (; i + 4 <= len; i += 4) {
+    const __m256i u = mt_temper4(loadu_u64(state + i));
+    const __m256i layer = _mm256_and_si256(u, layer_mask);
+    const __m256i m = _mm256_srli_epi64(u, 11);
+    // m < 2^53 and K <= 2^53, so the signed compare is the unsigned one.
+    const __m256i accept =
+        _mm256_cmpgt_epi64(_mm256_i64gather_epi64(k_table, layer, 8), m);
+    const int mask = _mm256_movemask_pd(_mm256_castsi256_pd(accept));
+    const __m256d w = _mm256_i64gather_pd(dsp::detail::kZigW, layer, 8);
+    // Bit 8 of the word moved to the sign bit: the same flip as -g.
+    const __m256i sign = _mm256_slli_epi64(_mm256_and_si256(u, sign_bit), 55);
+    const __m256d g = _mm256_xor_pd(_mm256_mul_pd(u53_to_double(m), w),
+                                    _mm256_castsi256_pd(sign));
+    const __m256d out =
+        _mm256_add_pd(_mm256_loadu_pd(x + i), _mm256_mul_pd(sigma_v, g));
+    if (mask == 0xf) {
+      _mm256_storeu_pd(x + i, out);
+      continue;
+    }
+    // Keep the lanes before the first miss; the miss ends the run.
+    const int lead = __builtin_ctz(static_cast<unsigned>(~mask));
+    alignas(32) Real lanes[4];
+    _mm256_store_pd(lanes, out);
+    for (int j = 0; j < lead; ++j) x[i + j] = lanes[j];
+    return i + static_cast<std::size_t>(lead);
+  }
+  return i + scalar::gaussian_fast(state + i, len - i, x + i, len - i, sigma);
 }
 
 }  // namespace ecocap::dsp::kernels::detail::avx2

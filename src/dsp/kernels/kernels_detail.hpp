@@ -23,6 +23,12 @@ void onepole(const Real* x, Real* y, std::size_t n, Real alpha, Real* state);
 void envelope(const Real* x, Real* y, std::size_t n, Real alpha, Real* state);
 void fdtd_velocity_row(const FdtdVelocityRowArgs& a);
 void fdtd_stress_row(const FdtdStressRowArgs& a);
+void mt_twist(std::uint64_t* mt);
+std::size_t gaussian_fast(const std::uint64_t* state, std::size_t avail,
+                          Real* x, std::size_t n, Real sigma);
+/// One word of the MT19937-64 twist: the new x[i] from x[i] (upper bits),
+/// x[i+1] (lower bits) and x[i+m], indices mod n.
+std::uint64_t mt_word(std::uint64_t cur, std::uint64_t next, std::uint64_t far);
 }  // namespace scalar
 
 #if defined(__x86_64__) || defined(__i386__)
@@ -36,6 +42,9 @@ void onepole(const Real* x, Real* y, std::size_t n, Real alpha, Real* state);
 void envelope(const Real* x, Real* y, std::size_t n, Real alpha, Real* state);
 void fdtd_velocity_row(const FdtdVelocityRowArgs& a);
 void fdtd_stress_row(const FdtdStressRowArgs& a);
+void mt_twist(std::uint64_t* mt);
+std::size_t gaussian_fast(const std::uint64_t* state, std::size_t avail,
+                          Real* x, std::size_t n, Real sigma);
 }  // namespace avx2
 #endif
 

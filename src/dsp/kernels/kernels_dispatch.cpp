@@ -21,6 +21,7 @@ const KernelTable kScalarTable = {
     scalar::correlate_valid, scalar::biquad,
     scalar::onepole,     scalar::envelope,
     scalar::fdtd_velocity_row, scalar::fdtd_stress_row,
+    scalar::mt_twist,    scalar::gaussian_fast,
 };
 
 #if defined(ECOCAP_KERNELS_AVX2)
@@ -29,6 +30,7 @@ const KernelTable kAvx2Table = {
     avx2::correlate_valid, avx2::biquad,
     avx2::onepole,     avx2::envelope,
     avx2::fdtd_velocity_row, avx2::fdtd_stress_row,
+    avx2::mt_twist,    avx2::gaussian_fast,
 };
 #endif
 
@@ -41,6 +43,9 @@ const KernelTable kNeonTable = {
     scalar::biquad,
     neon::onepole,     neon::envelope,
     neon::fdtd_velocity_row, neon::fdtd_stress_row,
+    // No NEON body of the engine loops has run on an AArch64 host yet;
+    // the canonical scalar loops stand in until one can be tested.
+    scalar::mt_twist,    scalar::gaussian_fast,
 };
 #endif
 

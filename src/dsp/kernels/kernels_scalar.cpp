@@ -8,9 +8,11 @@
 // may still use SIMD *encodings*, which is fine — IEEE semantics per lane
 // are unchanged, only fused multiply-adds could break identity.
 
+#include <algorithm>
 #include <cmath>
 
 #include "dsp/kernels/kernels_detail.hpp"
+#include "dsp/rng.hpp"
 
 namespace ecocap::dsp::kernels::detail::scalar {
 
@@ -164,6 +166,40 @@ void fdtd_stress_row(const FdtdStressRowArgs& a) {
     const Real dvy_dx = (a.vy[i] - a.vy[i - 1]) * a.inv_dx;
     a.sxy[i] += a.dt * m * (dvx_dy + dvy_dx);
   }
+}
+
+std::uint64_t mt_word(std::uint64_t cur, std::uint64_t next,
+                      std::uint64_t far) {
+  const std::uint64_t y =
+      (cur & dsp::detail::kMtUpperMask) | (next & dsp::detail::kMtLowerMask);
+  // The matrix is masked in rather than selected: y's low bit is a coin
+  // flip, and a branch on it mispredicts every other word.
+  return far ^ (y >> 1) ^ (dsp::detail::kMtMatrixA & (0 - (y & 1)));
+}
+
+void mt_twist(std::uint64_t* mt) {
+  // The standard's transition for i = 0 .. n-1 in order, split where the
+  // indices wrap: x[i+m] is still old below n-m and already new above.
+  constexpr std::size_t n = dsp::detail::kMtN;
+  constexpr std::size_t m = dsp::detail::kMtM;
+  std::size_t i = 0;
+  for (; i < n - m; ++i) mt[i] = mt_word(mt[i], mt[i + 1], mt[i + m]);
+  for (; i < n - 1; ++i) mt[i] = mt_word(mt[i], mt[i + 1], mt[i + m - n]);
+  mt[n - 1] = mt_word(mt[n - 1], mt[0], mt[m - 1]);
+}
+
+std::size_t gaussian_fast(const std::uint64_t* state, std::size_t avail,
+                          Real* x, std::size_t n, Real sigma) {
+  const std::size_t len = std::min(avail, n);
+  for (std::size_t i = 0; i < len; ++i) {
+    const std::uint64_t u = dsp::detail::mt_temper(state[i]);
+    const std::uint64_t layer = u & 0xff;
+    const std::uint64_t m = u >> 11;
+    if (m >= dsp::detail::kZigK[layer]) return i;
+    const Real g = static_cast<Real>(m) * dsp::detail::kZigW[layer];
+    x[i] += sigma * dsp::detail::negate_if_bit8(g, u);
+  }
+  return len;
 }
 
 }  // namespace ecocap::dsp::kernels::detail::scalar

@@ -1,8 +1,12 @@
 #include "dsp/rng.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <limits>
+#include <string>
+
+#include "dsp/kernels/kernels.hpp"
 
 namespace ecocap::dsp {
 
@@ -11,7 +15,66 @@ namespace {
 /// Tail cut of the 256-layer Ziggurat: X[1] of the generator's recurrence.
 constexpr Real kZigR = 3.6541528853610088;
 
+/// Multiplier of MT19937-64's seeding recurrence.
+constexpr std::uint64_t kMtInitMultiplier = 6364136223846793005ULL;
+
 }  // namespace
+
+Rng::Rng(std::uint64_t seed) {
+  // The standard's seed(value): x[0] = value,
+  // x[i] = f * (x[i-1] xor (x[i-1] >> 62)) + i, and the first draw
+  // twists.
+  state_[0] = seed;
+  for (std::size_t i = 1; i < detail::kMtN; ++i) {
+    const std::uint64_t prev = state_[i - 1];
+    state_[i] = kMtInitMultiplier * (prev ^ (prev >> 62)) + i;
+  }
+  index_ = detail::kMtN;
+}
+
+void Rng::twist() {
+  kernels::active().mt_twist(state_.data());
+  index_ = 0;
+}
+
+void Rng::save(std::ostream& os) const {
+  // Built as one string and written unformatted, so no stream flag, fill
+  // or width can change a byte.
+  std::string text;
+  for (const std::uint64_t word : state_) {
+    text += std::to_string(word);
+    text += ' ';
+  }
+  text += std::to_string(index_);
+  os.write(text.data(), static_cast<std::streamsize>(text.size()));
+  os.width(0);
+}
+
+void Rng::load(std::istream& is) {
+  std::string line;
+  if (!std::getline(is, line)) return;
+  std::array<std::uint64_t, detail::kMtN + 1> words{};
+  std::size_t count = 0;
+  const char* p = line.data();
+  const char* const end = p + line.size();
+  const auto skip_spaces = [&] {
+    while (p != end && *p == ' ') ++p;
+  };
+  // Stops at the end of the line, after the index, or at a token that is
+  // not a decimal word; anything left over is rejected below.
+  for (skip_spaces(); p != end && count < words.size(); skip_spaces()) {
+    const auto [next, ec] = std::from_chars(p, end, words[count]);
+    if (ec != std::errc{} || (next != end && *next != ' ')) break;
+    ++count;
+    p = next;
+  }
+  if (p != end || count != words.size() || words[detail::kMtN] > detail::kMtN) {
+    is.setstate(std::ios::failbit);
+    return;
+  }
+  std::copy_n(words.begin(), detail::kMtN, state_.begin());
+  index_ = static_cast<std::size_t>(words[detail::kMtN]);
+}
 
 Real Rng::gaussian_slow(std::uint64_t u) {
   const std::uint64_t layer = u & 0xff;
@@ -36,18 +99,43 @@ Real Rng::gaussian_slow(std::uint64_t u) {
 }
 
 void Rng::add_gaussian(std::span<Real> x, Real sigma) {
-  for (Real& v : x) v += sigma * gaussian();
+  add_gaussian(x, sigma, kernels::active());
+}
+
+void Rng::add_gaussian(std::span<Real> x, Real sigma,
+                       const kernels::KernelTable& k) {
+  // The kernel fills the leading run of fast-path draws straight from the
+  // state words; the first word that misses goes through gaussian_slow
+  // here, which may draw further words, exactly as gaussian() would.
+  Real* out = x.data();
+  std::size_t left = x.size();
+  while (left > 0) {
+    if (index_ >= detail::kMtN) {
+      k.mt_twist(state_.data());
+      index_ = 0;
+    }
+    const std::size_t run = k.gaussian_fast(
+        state_.data() + index_, detail::kMtN - index_, out, left, sigma);
+    index_ += run;
+    out += run;
+    left -= run;
+    if (left > 0 && index_ < detail::kMtN) {
+      const std::uint64_t u = detail::mt_temper(state_[index_++]);
+      *out++ += sigma * gaussian_slow(u);
+      --left;
+    }
+  }
 }
 
 std::uint64_t Rng::index(std::uint64_t n) {
-  if (n == 0) return engine_();
+  if (n == 0) return next_u64();
   __extension__ using u128 = unsigned __int128;
-  u128 product = static_cast<u128>(engine_()) * n;
+  u128 product = static_cast<u128>(next_u64()) * n;
   auto low = static_cast<std::uint64_t>(product);
   if (low < n) {
     const std::uint64_t threshold = (0 - n) % n;
     while (low < threshold) {
-      product = static_cast<u128>(engine_()) * n;
+      product = static_cast<u128>(next_u64()) * n;
       low = static_cast<std::uint64_t>(product);
     }
   }

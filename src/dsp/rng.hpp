@@ -1,14 +1,20 @@
 #pragma once
 
+#include <array>
+#include <bit>
+#include <cstddef>
 #include <cstdint>
 #include <istream>
 #include <ostream>
-#include <random>
 #include <span>
 
 #include "dsp/types.hpp"
 
 namespace ecocap::dsp {
+
+namespace kernels {
+struct KernelTable;
+}  // namespace kernels
 
 /// SplitMix64 finalizer: a bijective avalanche mix over 64-bit words. Used
 /// to derive well-separated seeds from (base seed, counter) pairs without
@@ -39,14 +45,46 @@ namespace detail {
 extern const std::uint64_t kZigK[256];
 extern const double kZigW[256];
 extern const double kZigF[257];
+
+/// MT19937-64 (Matsumoto & Nishimura 2000; the parameters the C++
+/// standard gives std::mt19937_64): 312 state words, the twist's middle
+/// offset, its matrix and the split between the upper 33 and lower 31
+/// bits of a word.
+inline constexpr std::size_t kMtN = 312;
+inline constexpr std::size_t kMtM = 156;
+inline constexpr std::uint64_t kMtMatrixA = 0xb5026f5aa96619e9ULL;
+inline constexpr std::uint64_t kMtUpperMask = 0xffffffff80000000ULL;
+inline constexpr std::uint64_t kMtLowerMask = 0x000000007fffffffULL;
+
+/// Tempering masks: bits kept by the second and third tempering steps.
+inline constexpr std::uint64_t kMtTemperD = 0x5555555555555555ULL;
+inline constexpr std::uint64_t kMtTemperB = 0x71d67fffeda60000ULL;
+inline constexpr std::uint64_t kMtTemperC = 0xfff7eee000000000ULL;
+
+/// -x when bit 8 of `u` is set, else x: the bit becomes the sign bit, so
+/// no branch on a coin flip has to be predicted.
+inline Real negate_if_bit8(Real x, std::uint64_t u) {
+  return std::bit_cast<Real>(std::bit_cast<std::uint64_t>(x) ^
+                             ((u & 0x100) << 55));
+}
+
+/// The output word of state word `x`.
+constexpr std::uint64_t mt_temper(std::uint64_t x) {
+  x ^= (x >> 29) & kMtTemperD;
+  x ^= (x << 17) & kMtTemperB;
+  x ^= (x << 37) & kMtTemperC;
+  return x ^ (x >> 43);
+}
 }  // namespace detail
 
 /// Deterministic random source for all stochastic models (noise, traffic,
 /// slot selection). Every experiment seeds its own Rng so runs are exactly
 /// reproducible; nothing in the library touches global random state.
 ///
-/// The engine is std::mt19937_64, whose output the C++ standard fixes. The
-/// transforms on top are written down here rather than taken from
+/// The engine is a written-down MT19937-64 whose words are exactly those
+/// of std::mt19937_64: seeding in rng.cpp, tempering above, and the twist
+/// on the kernel tables (kernels_scalar.cpp is the canonical loop). The
+/// transforms on top are written down too rather than taken from
 /// <random>, whose distributions are implementation-defined:
 ///  - gaussian: a 256-layer Ziggurat (Marsaglia & Tsang 2000) on one
 ///    64-bit word: bits 0-7 pick the layer, bit 8 the sign, bits 11-63
@@ -61,19 +99,22 @@ extern const double kZigF[257];
 /// draws keep the bytes they had when Rng wrapped <random>.
 class Rng {
  public:
-  explicit Rng(std::uint64_t seed) : engine_(seed) {}
+  explicit Rng(std::uint64_t seed);
 
   /// Next raw 64-bit engine word.
-  std::uint64_t next_u64() { return engine_(); }
+  std::uint64_t next_u64() {
+    if (index_ >= detail::kMtN) twist();
+    return detail::mt_temper(state_[index_++]);
+  }
 
   /// Standard-normal variate.
   Real gaussian() {
-    const std::uint64_t u = engine_();
+    const std::uint64_t u = next_u64();
     const std::uint64_t layer = u & 0xff;
     const std::uint64_t m = u >> 11;
     if (m < detail::kZigK[layer]) {
       const Real x = static_cast<Real>(m) * detail::kZigW[layer];
-      return (u & 0x100) ? -x : x;
+      return detail::negate_if_bit8(x, u);
     }
     return gaussian_slow(u);
   }
@@ -81,12 +122,18 @@ class Rng {
   /// Normal variate with the given standard deviation.
   Real gaussian(Real sigma) { return sigma * gaussian(); }
 
-  /// x[i] += gaussian(sigma) over the span, in order.
+  /// x[i] += gaussian(sigma) over the span, in order. Runs of fast-path
+  /// draws and the twist go through the active kernel table; the result
+  /// is the per-sample loop's, bit for bit, on every table.
   void add_gaussian(std::span<Real> x, Real sigma);
+
+  /// add_gaussian on the given kernel table, so tables can be compared.
+  void add_gaussian(std::span<Real> x, Real sigma,
+                    const kernels::KernelTable& k);
 
   /// Uniform in [0, 1).
   Real uniform() {
-    const Real u = static_cast<Real>(engine_()) * 0x1p-64;
+    const Real u = static_cast<Real>(next_u64()) * 0x1p-64;
     return u < 1.0 ? u : 0x1.fffffffffffffp-1;
   }
 
@@ -102,18 +149,29 @@ class Rng {
   /// Poisson variate with the given mean.
   int poisson(Real mean);
 
-  /// Stream the generator state (the engine's; the transforms carry none)
-  /// for checkpointing. A loaded Rng continues the exact draw sequence of
-  /// the saved one.
-  void save(std::ostream& os) const { os << engine_; }
-  void load(std::istream& is) { is >> engine_; }
+  /// Checkpoint text of the generator state (the engine's; the transforms
+  /// carry none): the 312 state words in decimal, then the index of the
+  /// next word, separated by single spaces. This is the text libstdc++'s
+  /// `os << std::mt19937_64` writes, whatever the stream's flags, fill or
+  /// width (none of which save changes, apart from consuming the width).
+  void save(std::ostream& os) const;
+
+  /// Reads save's text up to the end of the line. A loaded Rng continues
+  /// the exact draw sequence of the saved one. Fewer than 312 words, an
+  /// index above 312, a token that is not a decimal word, or anything
+  /// after the index sets failbit and leaves the Rng unchanged.
+  void load(std::istream& is);
 
  private:
+  /// Regenerate all 312 state words and restart at index 0.
+  void twist();
+
   /// Wedge and tail of the Ziggurat for a word that missed the fast
   /// accept.
   Real gaussian_slow(std::uint64_t u);
 
-  std::mt19937_64 engine_;
+  std::array<std::uint64_t, detail::kMtN> state_;
+  std::size_t index_;
 };
 
 /// Fresh per-trial Rng for Monte-Carlo sweeps: trial `trial_index` of an

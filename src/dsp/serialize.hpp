@@ -21,8 +21,9 @@ namespace ecocap::dsp::ser {
 /// hexfloats ("%a"), so a save/load round trip reproduces the exact bit
 /// pattern — the property the crash-safe checkpoints need for resumed runs
 /// to stay bit-identical to uninterrupted ones. An Rng round-trips
-/// as its mt19937_64 state vector (the standard stream operator); its
-/// transforms keep no state of their own.
+/// as its engine's 312 state words and index (Rng::save, the text
+/// libstdc++ writes for std::mt19937_64); its transforms keep no state of
+/// their own.
 ///
 /// The Reader is strict and sequential: records must be consumed in the
 /// order they were written, and any key mismatch, truncation, parse failure

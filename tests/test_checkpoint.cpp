@@ -169,6 +169,29 @@ TEST(Serialize, FieldRangeChecksEveryIntegerWidth) {
   expect_rejected<std::uint64_t>("sr.polls", "18446744073709551616");
   expect_rejected<std::int64_t>("s.anomalies", "9223372036854775808");
 
+  // An Rng state is 312 words and an index of at most 312, and nothing
+  // after it.
+  std::ostringstream os;
+  dsp::Rng(5).save(os);
+  const std::string state = os.str();
+  for (const std::string& bad :
+       {state.substr(0, state.rfind(' ')) + " 313",  // index past the end
+        state.substr(state.find(' ') + 1),           // 311 words
+        state + " 0"}) {                             // a trailing token
+    dsp::ser::Writer w("narrow v1");
+    w.kv("fw.rng", bad);
+    dsp::ser::Reader r(w.payload(), "narrow v1");
+    dsp::Rng rng(1);
+    try {
+      r.rng("fw.rng", rng);
+      ADD_FAILURE() << "fw.rng = " << bad.substr(0, 40) << "... loaded";
+    } catch (const std::runtime_error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("bad rng state"), std::string::npos) << what;
+      EXPECT_NE(what.find("fw.rng"), std::string::npos) << what;
+    }
+  }
+
   // Enumerators are checked against their declared range.
   dsp::ser::Writer w("narrow v1");
   w.i64("report.health", 6);
@@ -223,8 +246,8 @@ TEST(Serialize, AtomicWriteLeavesNoTempBehind) {
 
 TEST(Serialize, RngRoundTripPreservesCachedVariate) {
   dsp::Rng rng(1234);
-  // An odd number of gaussians leaves the normal distribution's spare
-  // variate cached — the state the stream operators must carry over.
+  // The Gaussian caches no variate; the engine's state and index are all
+  // a round trip has to carry, here part-way through a twist's words.
   for (int i = 0; i < 7; ++i) rng.gaussian();
 
   dsp::ser::Writer w("rng-test v1");

@@ -18,6 +18,7 @@
 #include "dsp/decimate.hpp"
 #include "dsp/envelope.hpp"
 #include "dsp/kernels/kernels.hpp"
+#include "dsp/rng.hpp"
 
 namespace ecocap::dsp::kernels {
 namespace {
@@ -364,6 +365,89 @@ TEST(KernelUsers, LowpassDecimateBitIdenticalAcrossTables) {
       }
     }
   }
+}
+
+TEST(KernelEquivalence, MtTwistBitIdenticalAcrossTables) {
+  std::vector<std::uint64_t> ref(dsp::detail::kMtN);
+  std::uint64_t seed = 0x7a157;
+  for (std::uint64_t& w : ref) w = seed = dsp::splitmix64(seed);
+  for (const KernelTable* t : simd_tables()) {
+    std::vector<std::uint64_t> scalar_state = ref;
+    // One word of slack in front: the SIMD table must not need alignment.
+    std::vector<std::uint64_t> simd_buf(dsp::detail::kMtN + 1);
+    std::copy(ref.begin(), ref.end(), simd_buf.begin() + 1);
+    for (int twist = 0; twist < 1000; ++twist) {
+      scalar_table().mt_twist(scalar_state.data());
+      t->mt_twist(simd_buf.data() + 1);
+      ASSERT_TRUE(std::equal(scalar_state.begin(), scalar_state.end(),
+                             simd_buf.begin() + 1))
+          << isa_name(t->isa) << " twist " << twist;
+    }
+  }
+}
+
+TEST(KernelUsers, GaussianFillBitIdenticalAcrossTables) {
+  // Rng::add_gaussian on every runnable table, in blocks of each size,
+  // from each engine index 308..312 so runs cross the twist, must give
+  // the per-sample Rng::gaussian() loop's samples and leave the engine on
+  // the same next word. The reference draws are sorted by the path their
+  // first word takes, so the wedge and the layer-0 tail are known to run.
+  constexpr dsp::Real kSigma = 0.75;
+  constexpr std::size_t kDraws = 1 << 18;  // per start index
+  const std::size_t kBlocks[] = {1, 3, 4, 5, 7, 64, 65, 256, 1021};
+  std::vector<const KernelTable*> tables = simd_tables();
+  tables.push_back(&scalar_table());
+
+  const auto start_at = [](std::size_t index) {
+    dsp::Rng rng(0xf111);
+    for (std::size_t i = 0; i < index; ++i) rng.next_u64();
+    return rng;
+  };
+  Signal init(kDraws);
+  for (std::size_t i = 0; i < kDraws; ++i) {
+    init[i] = 0.001 * static_cast<dsp::Real>(i % 97) - 0.05;
+  }
+
+  std::size_t fast = 0, wedge = 0, tail = 0;
+  for (std::size_t index = 308; index <= dsp::detail::kMtN; ++index) {
+    dsp::Rng ref_rng = start_at(index);
+    Signal want = init;
+    for (dsp::Real& v : want) {
+      dsp::Rng probe = ref_rng;
+      const std::uint64_t u = probe.next_u64();
+      if ((u >> 11) < dsp::detail::kZigK[u & 0xff]) {
+        ++fast;
+      } else if ((u & 0xff) == 0) {
+        ++tail;
+      } else {
+        ++wedge;
+      }
+      v += kSigma * ref_rng.gaussian();
+    }
+    const std::uint64_t want_next = ref_rng.next_u64();
+
+    for (const KernelTable* t : tables) {
+      for (const std::size_t block : kBlocks) {
+        dsp::Rng rng = start_at(index);
+        Signal got = init;
+        for (std::size_t i = 0; i < kDraws; i += block) {
+          const std::size_t n = std::min(block, kDraws - i);
+          rng.add_gaussian(std::span<dsp::Real>(got.data() + i, n), kSigma,
+                           *t);
+        }
+        const auto diff =
+            std::mismatch(got.begin(), got.end(), want.begin(), bit_equal);
+        ASSERT_EQ(diff.first, got.end())
+            << isa_name(t->isa) << " index " << index << " block " << block
+            << " first differing sample " << (diff.first - got.begin());
+        ASSERT_EQ(rng.next_u64(), want_next)
+            << isa_name(t->isa) << " index " << index << " block " << block;
+      }
+    }
+  }
+  EXPECT_GE(fast + wedge + tail, 1000000u);
+  EXPECT_GT(wedge, 1000u);
+  EXPECT_GT(tail, 10u);
 }
 
 }  // namespace

@@ -1,5 +1,8 @@
-// dsp::Rng's written-down transforms.
+// dsp::Rng's written-down engine and transforms.
 //
+//  - the engine is MT19937-64: its words equal std::mt19937_64's, and its
+//    checkpoint text is the one libstdc++ writes for that engine, read
+//    back strictly;
 //  - uniform/index/poisson are the arithmetic libstdc++ runs for the
 //    matching <random> distributions on mt19937_64, so those draws kept
 //    their bytes when Rng stopped wrapping <random>;
@@ -15,7 +18,10 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <ios>
 #include <random>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "dsp/rng.hpp"
@@ -94,11 +100,127 @@ TEST(RngLibstdcxx, PoissonMatchesPoissonDistribution) {
 }
 
 TEST(RngLibstdcxx, NextU64IsTheEngineWord) {
+  // The standard fixes std::mt19937_64's output, so this holds on any
+  // standard library. 10^4 words cross 32 twists.
+  std::vector<std::uint64_t> seeds = {0, 1, 5489, ~0ULL};
+  for (std::uint64_t k = 0; k < 4; ++k) seeds.push_back(trial_seed(1, k));
+  seeds.insert(seeds.end(), std::begin(kSeeds), std::end(kSeeds));
+  for (const std::uint64_t seed : seeds) {
+    Rng rng(seed);
+    std::mt19937_64 engine(seed);
+    for (int i = 0; i < 10000; ++i) {
+      ASSERT_EQ(rng.next_u64(), engine()) << "seed " << seed << " word " << i;
+    }
+  }
+}
+
+// --- the engine -------------------------------------------------------------
+
+std::string saved(const Rng& rng) {
+  std::ostringstream os;
+  rng.save(os);
+  return os.str();
+}
+
+TEST(RngEngine, SaveTextEqualsLibstdcxxStreamOperator) {
+  if (!kLibstdcxxReference) GTEST_SKIP() << "needs libstdc++ >= 11";
+  const auto std_text = [](const std::mt19937_64& e) {
+    std::ostringstream os;
+    os << e;
+    return os.str();
+  };
   for (const std::uint64_t seed : kSeeds) {
     Rng rng(seed);
     std::mt19937_64 engine(seed);
-    for (int i = 0; i < 1000; ++i) ASSERT_EQ(rng.next_u64(), engine());
+    EXPECT_EQ(saved(rng), std_text(engine)) << "fresh, seed " << seed;
+    // After 3 twists: indices 1, 311 and 312.
+    int drawn = 0;
+    for (const int target : {3 * 312 + 1, 3 * 312 + 311, 4 * 312}) {
+      for (; drawn < target; ++drawn) {
+        rng.next_u64();
+        engine();
+      }
+      EXPECT_EQ(saved(rng), std_text(engine))
+          << "seed " << seed << " after " << drawn << " words";
+    }
+    // Draws never stop at index 0 (the draw that twists takes word 0),
+    // so reach it through a libstdc++-written state: the twisted words at
+    // index 1 with the index moved back by one.
+    engine();
+    std::string text = std_text(engine);
+    ASSERT_EQ(text.substr(text.size() - 2), " 1");
+    text.back() = '0';
+    std::istringstream std_in(text);
+    std_in >> engine;
+    std::istringstream rng_in(text);
+    rng.load(rng_in);
+    ASSERT_FALSE(rng_in.fail());
+    EXPECT_EQ(saved(rng), std_text(engine)) << "index 0, seed " << seed;
+    for (int i = 0; i < 400; ++i) ASSERT_EQ(rng.next_u64(), engine()) << i;
   }
+}
+
+TEST(RngEngine, SaveIgnoresAndKeepsStreamFormatting) {
+  Rng rng(42);
+  for (int i = 0; i < 500; ++i) rng.next_u64();
+  const std::string plain = saved(rng);
+
+  std::ostringstream os;
+  os << std::hex << std::showbase << std::uppercase << std::right;
+  os.fill('*');
+  os.width(40);
+  const std::ios::fmtflags flags = os.flags();
+  rng.save(os);
+  EXPECT_EQ(os.str(), plain);
+  EXPECT_EQ(os.flags(), flags);
+  EXPECT_EQ(os.fill(), '*');
+  EXPECT_EQ(os.width(), 0);  // consumed, as by a formatted insertion
+}
+
+TEST(RngEngine, LoadResumesLibstdcxxWrittenState) {
+  if (!kLibstdcxxReference) GTEST_SKIP() << "needs libstdc++ >= 11";
+  for (const std::uint64_t seed : kSeeds) {
+    std::mt19937_64 engine(seed);
+    for (int i = 0; i < 1000; ++i) engine();
+    std::stringstream text;
+    text << engine;
+    Rng rng(seed + 1);  // overwritten by the load
+    rng.load(text);
+    ASSERT_FALSE(text.fail());
+    for (int i = 0; i < 2000; ++i) {
+      ASSERT_EQ(rng.next_u64(), engine()) << "seed " << seed << " word " << i;
+    }
+  }
+}
+
+TEST(RngEngine, LoadRejectsBadStateAndKeepsTheOldOne) {
+  Rng good(7);
+  for (int i = 0; i < 100; ++i) good.next_u64();
+  const std::string text = saved(good);
+  const std::string words = text.substr(0, text.rfind(' '));
+  const std::string short_text = text.substr(text.find(' ') + 1);
+
+  for (const std::string& bad :
+       {words + " 313",          // index past the state
+        short_text,              // 311 words and an index
+        text + " 5",             // a token after the index
+        words + " x",            // not a number
+        words + " -1",           // not a decimal word
+        std::string("")}) {
+    Rng rng(9);
+    const std::string before = saved(rng);
+    std::istringstream is(bad);
+    rng.load(is);
+    EXPECT_TRUE(is.fail()) << bad.substr(0, 40);
+    EXPECT_EQ(saved(rng), before);
+  }
+
+  // Index 312 is a valid state: the next draw twists.
+  Rng at_end(11);
+  std::istringstream is(words + " 312");
+  at_end.load(is);
+  ASSERT_FALSE(is.fail());
+  EXPECT_EQ(saved(at_end), words + " 312");
 }
 
 // --- the Ziggurat, from the specification ----------------------------------
